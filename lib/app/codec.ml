@@ -24,10 +24,12 @@ module Writer = struct
     | Buf b -> Buffer.add_uint8 b (v land 0xFF)
     | Count -> ()
 
+  (* Seven bits a byte over the int's 63-bit pattern, so the writer is
+     total and the exact inverse of [Reader.varint]: a negative int takes
+     nine bytes, the ninth carrying the sign bit. *)
   let varint t v =
-    if v < 0 then invalid_arg "Codec.Writer.varint: negative";
     let rec go v =
-      if v < 0x80 then u8 t v
+      if v land lnot 0x7F = 0 then u8 t v
       else begin
         u8 t (0x80 lor (v land 0x7F));
         go (v lsr 7)

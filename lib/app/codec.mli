@@ -30,7 +30,9 @@ module Writer : sig
 
   val u8 : t -> int -> unit
   val varint : t -> int -> unit
-  (** Non-negative varint. *)
+  (** Unsigned varint, meant for non-negative ints.  Total: a negative
+      int is written as its 63-bit pattern in nine bytes, which
+      {!Reader.varint} decodes back to the same int. *)
 
   val zigzag : t -> int -> unit
   (** Signed varint. *)

@@ -62,6 +62,8 @@ module type S = sig
   val epoch_stats : t -> Rsmr_net.Node_id.t -> epoch_stat list
 end
 
+module Int_map = Map.Make (Int)
+
 module Make_on (B : Rsmr_smr.Block_intf.S) (Sm : Rsmr_app.State_machine.S) =
 struct
   module Replica = B
@@ -77,12 +79,15 @@ struct
      hard-wired sequence. *)
 
   type app_state = Sm.t
+
   type instance = {
     epoch : int;
     cfg : Config.t;
     prev_members : Node_id.t list;
     mutable replica : Replica.t option;
     mutable app : Sm.t;
+        (* dropped (reset to [Sm.init ()]) once the instance is sealed:
+           read it through [inst_app] *)
     mutable sessions : Session.t;
     mutable activated : bool;
     mutable wedged_at : int option;
@@ -102,7 +107,11 @@ struct
         (* wedge-time residual envelopes awaiting batched re-submission
            into the next epoch, newest first *)
     mutable residual_timer : Engine.timer option;
-    mutable chunks : string option array;
+    mutable chunks_total : int;
+        (* chunk count of the transfer being assembled (0: none yet) *)
+    mutable chunks : string Int_map.t;
+        (* received pieces by index; emptied once the snapshot installs,
+           when [chunks_got = chunks_total] still records completeness *)
     mutable chunks_got : int;
     mutable fetch_timer : Engine.timer option;
     mutable fetch_rr : int;
@@ -177,6 +186,34 @@ struct
   let current_epoch t = Directory.epoch t.dir
   let current_members t = Directory.members t.dir
 
+  (* A retired instance that wedged and applied nothing past its wedge
+     index is sealed: its app is frozen and is exactly the app part of
+     [final_snapshot], which it keeps for late fetchers, so the live
+     value is dropped at retirement.  The condition cannot change once
+     it holds: a retired instance's replica is halted and decides
+     nothing more.  An instance retired before it wedged keeps its
+     app. *)
+  let sealed_snapshot inst =
+    match (inst.wedged_at, inst.final_snapshot) with
+    | Some w, Some snapshot when inst.retired && inst.applied_hi <= w ->
+      Some snapshot
+    | _ -> None
+
+  (* The one reader of an instance's app.  A sealed app is restored from
+     the snapshot on every call; memoising it would pin it again. *)
+  let inst_app inst =
+    match sealed_snapshot inst with
+    | Some snapshot -> Sm.restore (Snapshot.decode snapshot).Snapshot.app
+    | None -> inst.app
+
+  (* [Sm.snapshot (inst_app inst)], without the restore: a sealed app's
+     bytes are the snapshot's app bytes, taken from the very app that was
+     dropped. *)
+  let inst_app_bytes inst =
+    match sealed_snapshot inst with
+    | Some snapshot -> (Snapshot.decode snapshot).Snapshot.app
+    | None -> Sm.snapshot inst.app
+
   let newest_instance host ~pred =
     Stable.fold_sorted ~compare:Int.compare
       (fun _ inst acc ->
@@ -192,7 +229,7 @@ struct
     | None -> None
     | Some host -> (
       match newest_instance host ~pred:(fun i -> i.activated) with
-      | Some inst -> Some inst.app
+      | Some inst -> Some (inst_app inst)
       | None -> None)
 
   let host_epoch t node =
@@ -310,6 +347,7 @@ struct
     if not inst.retired then begin
       inst.retired <- true;
       (match inst.replica with Some r -> Replica.halt r | None -> ());
+      if Option.is_some (sealed_snapshot inst) then inst.app <- Sm.init ();
       (match inst.fetch_timer with
        | Some timer ->
          Engine.cancel t.engine timer;
@@ -448,7 +486,7 @@ struct
     | Envelope.App { client; seq; low_water; cmd } -> (
       match Session.check inst.sessions ~client ~seq with
       | `New ->
-        let app', resp = Sm.apply inst.app (Sm.decode_command cmd) in
+        let app', resp = Sm.apply (inst_app inst) (Sm.decode_command cmd) in
         let rsp = Sm.encode_response resp in
         inst.app <- app';
         inst.sessions <-
@@ -510,7 +548,7 @@ struct
         Hashtbl.add t.wedge_times (inst.epoch + 1) (Engine.now t.engine);
       let snapshot =
         Snapshot.encode
-          { Snapshot.app = Sm.snapshot inst.app;
+          { Snapshot.app = Sm.snapshot (inst_app inst);
             sessions = Session.encode inst.sessions }
       in
       inst.final_snapshot <- Some snapshot;
@@ -578,14 +616,16 @@ struct
             confirm_or_replace t host next ~members:members'
               ~prev_members:inst.cfg.Config.members
           in
-          activate t host next ~app:inst.app ~sessions:inst.sessions ~local:true
+          activate t host next ~app:(inst_app inst) ~sessions:inst.sessions
+            ~local:true
         | None ->
           let next =
             create_instance t host ~provisional:false ~epoch:new_epoch
               ~members:members' ~prev_members:inst.cfg.Config.members
               ~boot:`Await
           in
-          activate t host next ~app:inst.app ~sessions:inst.sessions ~local:true
+          activate t host next ~app:(inst_app inst) ~sessions:inst.sessions
+            ~local:true
       end
     end
 
@@ -713,7 +753,8 @@ struct
         spec_buf = [];
         residual_buf = [];
         residual_timer = None;
-        chunks = [||];
+        chunks_total = 0;
+        chunks = Int_map.empty;
         chunks_got = 0;
         fetch_timer = None;
         fetch_rr = 0;
@@ -848,17 +889,18 @@ struct
   (* Handoff: install the assembled snapshot once every chunk is here.
      A provisional instance holds its chunks until confirmation. *)
   and try_install t host inst =
-    let total = Array.length inst.chunks in
     if
-      total > 0
-      && inst.chunks_got = total
+      inst.chunks_total > 0
+      && inst.chunks_got = inst.chunks_total
       && (not inst.activated)
       && (not inst.retired)
       && not inst.provisional
     then begin
-      (* chunks_got = total implies every cell is filled, so the
-         filter_map drops nothing. *)
-      let pieces = Array.to_list inst.chunks |> List.filter_map Fun.id in
+      (* chunks_got = total distinct indices in [0, total): the bindings
+         are every piece, in index order.  The buffer is dead once
+         installed, so it is released here. *)
+      let pieces = List.map snd (Int_map.bindings inst.chunks) in
+      inst.chunks <- Int_map.empty;
       let snapshot = Snapshot.decode (Snapshot.assemble pieces) in
       activate t host inst ~app:(Sm.restore snapshot.Snapshot.app)
         ~sessions:(Session.decode snapshot.Snapshot.sessions) ~local:false
@@ -905,17 +947,27 @@ struct
       if not (List.exists (Node_id.equal src) !waiting) then
         waiting := src :: !waiting
 
+  (* [index] and [total] come off the wire unchecked (a varint decodes
+     to any int, negative included): a chunk outside [0, total) is
+     garbage, and the buffer grows with the pieces received, never with
+     the claimed [total]. *)
   let handle_chunk t host ~epoch ~index ~total ~data =
     match Hashtbl.find_opt host.instances epoch with
     | None -> ()
     | Some inst ->
-      if (not inst.activated) && not inst.retired then begin
-        if Array.length inst.chunks <> total then begin
-          inst.chunks <- Array.make total None;
+      if
+        (not inst.activated)
+        && (not inst.retired)
+        && 0 <= index
+        && index < total
+      then begin
+        if inst.chunks_total <> total then begin
+          inst.chunks_total <- total;
+          inst.chunks <- Int_map.empty;
           inst.chunks_got <- 0
         end;
-        if index < total && inst.chunks.(index) = None then begin
-          inst.chunks.(index) <- Some data;
+        if not (Int_map.mem index inst.chunks) then begin
+          inst.chunks <- Int_map.add index data inst.chunks;
           inst.chunks_got <- inst.chunks_got + 1
         end;
         try_install t host inst
@@ -1153,8 +1205,11 @@ struct
         inst.spec_buf;
       W.list w W.string (List.rev inst.residual_buf);
       W.bool w (pending_timer inst.residual_timer);
-      W.varint w (Array.length inst.chunks);
-      Array.iter (fun c -> W.bool w (Option.is_some c)) inst.chunks;
+      W.varint w inst.chunks_total;
+      for i = 0 to inst.chunks_total - 1 do
+        W.bool w
+          (inst.chunks_got = inst.chunks_total || Int_map.mem i inst.chunks)
+      done;
       W.bool w (pending_timer inst.fetch_timer);
       W.varint w inst.fetch_rr;
       W.bool w inst.announced;
@@ -1163,7 +1218,7 @@ struct
          [composed] strategy, so its reachable-state COUNT is untouched. *)
       W.bool w inst.provisional;
       W.bool w (pending_timer inst.prepare_timer);
-      W.string w (Sm.snapshot inst.app);
+      W.string w (inst_app_bytes inst);
       W.string w (Session.encode inst.sessions);
       W.option w W.string (Option.map Replica.fingerprint inst.replica)
     in

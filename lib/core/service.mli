@@ -17,7 +17,9 @@
     - With speculative handoff on, epoch [e+1]'s instance boots and orders
       commands {e while} the snapshot is in flight; it executes and replies
       only once the snapshot is installed.
-    - Superseded instances halt on [Retire]; the directory node tracks the
+    - Superseded instances halt on [Retire], keeping only what late
+      fetchers and audits read: the wedge-time snapshot, the session
+      table and the epoch audit record.  The directory node tracks the
       freshest configuration for clients that lost the trail.
 
     {!Make_on} composes {e any} building block; {!Make} is the Multi-Paxos
@@ -127,7 +129,10 @@ module type S = sig
       [(cluster t).obs]). *)
 
   val app_state : t -> Rsmr_net.Node_id.t -> app_state option
-  (** Application state of the newest activated instance hosted on a node. *)
+  (** Application state of the newest activated instance hosted on a node.
+      An instance retired after its wedge keeps only its wedge-time
+      snapshot, so for a node that left the configuration this restores
+      that state afresh on every call. *)
 
   val host_epoch : t -> Rsmr_net.Node_id.t -> int option
   (** Newest epoch a node hosts (activated or not). *)

@@ -6,12 +6,22 @@
        --frontier-dir _frontier --max-states 200000
      dune exec test/mc_main.exe -- --proto core --mutate --strategy dfs
      dune exec test/mc_main.exe -- --proto core --replay 's0;t1;d1-2;...'
+     dune exec test/mc_main.exe -- --scope minimal --proto both \
+       --expect-states 154843,159893
 
    Exit status: 0 if every requested exploration finished with no
    violation (whether or not it exhausted the scope — a --max-states
    cap prints "NOT exhausted" but is not an error); 1 if a violation
    was found (the counterexample is printed and, with --out, written to
-   a file); 2 on usage errors or a diverging --replay trace. *)
+   a file), or if --expect-states was given and an exhausted exploration
+   visited a different number of states; 2 on usage errors or a
+   diverging --replay trace.
+
+   --expect-states takes one count per explored protocol, in --proto
+   order (core before stopworld for "both"), or a single count for all
+   of them.  The exact reachable-state count of an exhausted scope is a
+   behaviour oracle: a refactor that claims to preserve behaviour must
+   leave it unchanged. *)
 
 module Scope = Rsmr_mc.Scope
 module Choice = Rsmr_mc.Choice
@@ -22,7 +32,8 @@ let usage () =
   prerr_endline
     "usage: mc_main [--scope SPEC] [--proto core|matchmaker|stopworld|both]\n\
     \       [--strategy bfs|dfs] [--max-states N] [--frontier-dir DIR]\n\
-    \       [--mutate] [--out FILE] [--replay TRACE] [-v]\n\
+    \       [--mutate] [--out FILE] [--replay TRACE] [--expect-states N[,N]]\n\
+    \       [-v]\n\
      SPEC is 'minimal', 'small', or either plus key=value overrides,\n\
      e.g. 'minimal,commands=1,depth=20' (see Rsmr_mc.Scope).";
   exit 2
@@ -36,6 +47,7 @@ type opts = {
   mutable mutate : bool;
   mutable out : string option;
   mutable replay : Choice.t list option;
+  mutable expect_states : int list;
   mutable verbose : bool;
 }
 
@@ -50,6 +62,7 @@ let parse_args () =
       mutate = false;
       out = None;
       replay = None;
+      expect_states = [];
       verbose = false;
     }
   in
@@ -102,6 +115,15 @@ let parse_args () =
          Printf.eprintf "bad trace %S\n" v;
          usage ());
       go rest
+    | "--expect-states" :: v :: rest ->
+      (match List.map int_of_string_opt (String.split_on_char ',' v) with
+       | counts when List.for_all (function Some n -> n > 0 | None -> false) counts
+         ->
+         o.expect_states <- List.filter_map Fun.id counts
+       | _ ->
+         Printf.eprintf "bad --expect-states %S\n" v;
+         usage ());
+      go rest
     | "-v" :: rest ->
       o.verbose <- true;
       go rest
@@ -116,7 +138,7 @@ let run_replay o proto trace =
     (Explore.render_counterexample ~proto ~scope:o.scope ~mutate:o.mutate
        trace)
 
-let run_explore o proto =
+let run_explore o ~expect proto =
   let label =
     Printf.sprintf "%s%s"
       (Harness.proto_to_string proto)
@@ -153,6 +175,21 @@ let run_explore o proto =
     label cov.Harness.cov_wedged cov.Harness.cov_activated
     cov.Harness.cov_retired cov.Harness.cov_replies
     cov.Harness.cov_max_counter;
+  let count_ok =
+    match expect with
+    | Some n when stats.Explore.exhausted && stats.Explore.visited <> n ->
+      Printf.printf "[%s] STATE COUNT MISMATCH: expected %d, visited %d\n%!"
+        label n stats.Explore.visited;
+      false
+    | Some n when stats.Explore.exhausted ->
+      Printf.printf "[%s] state count matches the expected %d\n%!" label n;
+      true
+    | Some n ->
+      Printf.printf "[%s] expected state count %d not checked (not exhausted)\n%!"
+        label n;
+      true
+    | None -> true
+  in
   (match stats.Explore.violation with
    | None ->
      if stats.Explore.exhausted then
@@ -173,7 +210,7 @@ let run_explore o proto =
          close_out oc;
          Printf.printf "[%s] counterexample written to %s\n%!" label f)
        o.out);
-  stats.Explore.violation = None
+  stats.Explore.violation = None && count_ok
 
 let () =
   let o = parse_args () in
@@ -182,5 +219,18 @@ let () =
     run_replay o (List.hd o.protos) trace;
     exit 0
   | None ->
-    let ok = List.for_all (fun p -> run_explore o p) o.protos in
+    let expects =
+      match o.expect_states with
+      | [] -> List.map (fun _ -> None) o.protos
+      | [ n ] -> List.map (fun _ -> Some n) o.protos
+      | counts when List.length counts = List.length o.protos ->
+        List.map Option.some counts
+      | counts ->
+        Printf.eprintf "--expect-states: %d counts for %d protocols\n"
+          (List.length counts) (List.length o.protos);
+        usage ()
+    in
+    let ok =
+      List.for_all2 (fun p expect -> run_explore o ~expect p) o.protos expects
+    in
     exit (if ok then 0 else 1)

@@ -43,6 +43,22 @@ let test_codec_roundtrip_primitives () =
     (Codec.Reader.list r Codec.Reader.varint);
   Alcotest.(check bool) "at end" true (Codec.Reader.at_end r)
 
+let test_codec_varint_negative () =
+  (* A nine-byte varint sets the int's sign bit, so the reader yields
+     negative ints; the writer produces exactly those bytes back. *)
+  List.iter
+    (fun n ->
+      let w = Codec.Writer.create () in
+      Codec.Writer.varint w n;
+      let bytes = Codec.Writer.contents w in
+      Alcotest.(check int) (Printf.sprintf "%d takes nine bytes" n) 9
+        (String.length bytes);
+      Alcotest.(check int) (Printf.sprintf "%d roundtrips" n) n
+        (Codec.Reader.varint (Codec.Reader.of_string bytes)))
+    [ -1; min_int; -300_000_000 ];
+  Alcotest.(check int) "decoded from raw bytes" (-1)
+    (Codec.Reader.varint (Codec.Reader.of_string "\xff\xff\xff\xff\xff\xff\xff\xff\x7f"))
+
 let test_codec_truncated () =
   let r = Codec.Reader.of_string "\x05ab" in
   Alcotest.check_raises "short string raises" Codec.Truncated (fun () ->
@@ -250,6 +266,8 @@ let () =
         [
           Alcotest.test_case "primitives roundtrip" `Quick
             test_codec_roundtrip_primitives;
+          Alcotest.test_case "varint negative" `Quick
+            test_codec_varint_negative;
           Alcotest.test_case "truncated" `Quick test_codec_truncated;
           QCheck_alcotest.to_alcotest prop_varint_roundtrip;
           QCheck_alcotest.to_alcotest prop_zigzag_roundtrip;

@@ -237,6 +237,147 @@ let test_reconfigure_disjoint () =
   run_until h ~deadline:60.0 (fun () ->
       List.for_all (fun n -> KvService.live_instances h.svc n = 0) [ 0; 1; 2 ])
 
+(* Ten writes, then the fleet replacement {0,1,2} -> {3,4,5}.  [isolate]
+   nodes are cut off from everything from the reconfiguration until
+   [Retire] has landed on every old member. *)
+let fleet_replacement_until_retired ?(isolate = []) () =
+  let h =
+    kv_harness ~members:[ 0; 1; 2 ] ~universe:[ 0; 1; 2; 3; 4; 5 ]
+      ~clients:[ c1 ] ()
+  in
+  for i = 1 to 10 do
+    submit_kv h ~client:c1 ~seq:i (Kv.Put (Printf.sprintf "k%d" i, string_of_int i))
+  done;
+  run_until h ~deadline:10.0 (fun () -> has_reply h ~client:c1 ~seq:10);
+  if isolate <> [] then begin
+    let net = KvService.net h.svc in
+    let dir = KvService.directory_id h.svc in
+    let rest =
+      List.filter
+        (fun n -> not (List.mem n isolate))
+        [ 0; 1; 2; 3; 4; 5; dir; dir + 1; c1 ]
+    in
+    Network.partition net (rest :: List.map (fun n -> [ n ]) isolate)
+  end;
+  h.cluster.Rsmr_iface.Cluster.reconfigure [ 3; 4; 5 ];
+  let retired n =
+    List.exists
+      (fun (s : Rsmr_core.Service.epoch_stat) -> s.es_epoch = 0 && s.es_retired)
+      (KvService.epoch_stats h.svc n)
+  in
+  run_until h ~deadline:30.0 (fun () -> List.for_all retired [ 0; 1; 2 ]);
+  h
+
+let kv_bytes h n =
+  match KvService.app_state h.svc n with
+  | Some st -> Kv.snapshot st
+  | None -> Alcotest.failf "node %d has no state" n
+
+let test_sealed_departed_state () =
+  (* Retired after its wedge, a departed node's instance keeps only its
+     wedge-time snapshot; app_state restores from it on every call. *)
+  let h = fleet_replacement_until_retired () in
+  submit_kv h ~client:c1 ~seq:11 (Kv.Put ("after", "wedge"));
+  run_until h ~deadline:45.0 (fun () -> has_reply h ~client:c1 ~seq:11);
+  let wedge_time = kv_bytes h 0 in
+  List.iter
+    (fun n ->
+      Alcotest.(check string)
+        (Printf.sprintf "node %d: same wedge-time state" n)
+        wedge_time (kv_bytes h n))
+    [ 1; 2 ];
+  (match KvService.app_state h.svc 0 with
+   | Some st ->
+     Alcotest.(check (option string)) "pre-wedge write" (Some "10")
+       (Kv.find st "k10");
+     Alcotest.(check (option string)) "no post-wedge write" None
+       (Kv.find st "after")
+   | None -> Alcotest.fail "departed node has no state");
+  (match (KvService.app_state h.svc 0, KvService.app_state h.svc 0) with
+   | Some a, Some b ->
+     Alcotest.(check bool) "sealed: restored on demand, not memoised" false
+       (a == b)
+   | _ -> Alcotest.fail "departed node has no state");
+  match (KvService.app_state h.svc 3, KvService.app_state h.svc 3) with
+  | Some a, Some b ->
+    Alcotest.(check bool) "live instance returns its own app" true (a == b)
+  | _ -> Alcotest.fail "new member has no state"
+
+let test_late_joiner_fetches_from_retired () =
+  (* Node 5 misses the whole transfer; by the time it is healed every old
+     member has retired (and sealed), so its snapshot must come from a
+     retired instance. *)
+  let h = fleet_replacement_until_retired ~isolate:[ 5 ] () in
+  let activated n =
+    List.exists
+      (fun (s : Rsmr_core.Service.epoch_stat) -> s.es_epoch = 1 && s.es_activated)
+      (KvService.epoch_stats h.svc n)
+  in
+  Alcotest.(check bool) "isolated member not yet installed" false (activated 5);
+  Network.heal (KvService.net h.svc);
+  run_until h ~deadline:45.0 (fun () -> activated 5);
+  submit_kv h ~client:c1 ~seq:11 (Kv.Put ("after", "heal"));
+  run_until h ~deadline:60.0 (fun () -> has_reply h ~client:c1 ~seq:11);
+  run_until h ~deadline:75.0 (fun () ->
+      match KvService.app_state h.svc 5 with
+      | Some st -> Kv.find st "after" = Some "heal"
+      | None -> false);
+  Alcotest.(check string) "late joiner converged" (kv_bytes h 3) (kv_bytes h 5);
+  Alcotest.(check bool) "late joiner holds the pre-wedge writes" true
+    (match KvService.app_state h.svc 5 with
+     | Some st -> Kv.find st "k1" = Some "1" && Kv.find st "k10" = Some "10"
+     | None -> false)
+
+let test_malformed_chunks_ignored () =
+  (* Chunk [index]/[total] arrive unchecked (a 9-byte varint decodes to a
+     negative int).  Garbage chunks reach a joining instance whose real
+     chunks are being lost; nothing may raise, and once the links recover
+     the real transfer still installs. *)
+  let h =
+    kv_harness ~members:[ 0; 1; 2 ] ~universe:[ 0; 1; 2; 3; 4; 5 ]
+      ~clients:[ c1 ] ()
+  in
+  submit_kv h ~client:c1 ~seq:1 (Kv.Put ("x", "42"));
+  run_until h ~deadline:5.0 (fun () -> has_reply h ~client:c1 ~seq:1);
+  let net = KvService.net h.svc in
+  let joining () =
+    KvService.host_epoch h.svc 3 = Some 1
+    && List.exists
+         (fun (s : Rsmr_core.Service.epoch_stat) ->
+           s.es_epoch = 1 && not s.es_activated)
+         (KvService.epoch_stats h.svc 3)
+  in
+  let garbage =
+    [ (-1, 3); (0, -1); (0, max_int); (min_int, max_int); (2, 1) ]
+  in
+  let injected = ref false in
+  let rec watch () =
+    if joining () then begin
+      injected := true;
+      List.iter
+        (fun src -> Network.set_link_fault net ~src ~dst:3 ~drop:1.0)
+        [ 0; 1; 2 ];
+      List.iter
+        (fun (index, total) ->
+          Network.send net ~src:4 ~dst:3
+            (Wire.State_chunk { epoch = 1; index; total; data = "junk" }))
+        garbage;
+      ignore
+        (Engine.schedule h.engine ~delay:1.0 (fun () ->
+             Network.clear_link_faults net))
+    end
+    else ignore (Engine.schedule h.engine ~delay:0.0001 watch)
+  in
+  watch ();
+  h.cluster.Rsmr_iface.Cluster.reconfigure [ 3; 4; 5 ];
+  run_until h ~deadline:30.0 (fun () -> !injected);
+  Alcotest.(check bool) "garbage landed before the real snapshot" true
+    (joining ());
+  run_until h ~deadline:60.0 (fun () ->
+      match KvService.app_state h.svc 3 with
+      | Some st -> KvService.host_epoch h.svc 3 = Some 1 && Kv.find st "x" = Some "42"
+      | None -> false)
+
 let test_commands_during_reconfig_not_lost () =
   (* Fire a burst of writes exactly around the reconfiguration; every one
      must eventually be acknowledged and visible exactly once. *)
@@ -749,6 +890,12 @@ let () =
             test_reconfigure_overlapping;
           Alcotest.test_case "reconfigure disjoint" `Quick
             test_reconfigure_disjoint;
+          Alcotest.test_case "sealed departed state" `Quick
+            test_sealed_departed_state;
+          Alcotest.test_case "late joiner fetches from retired" `Quick
+            test_late_joiner_fetches_from_retired;
+          Alcotest.test_case "malformed chunks ignored" `Quick
+            test_malformed_chunks_ignored;
           Alcotest.test_case "no loss around reconfig" `Quick
             test_commands_during_reconfig_not_lost;
           Alcotest.test_case "rolling replace" `Quick

@@ -20,13 +20,16 @@ let tiny_scope =
 
 (* --- exhaustion: tiny scope, both protocol configurations --- *)
 
-let test_exhaust proto () =
+(* The exact reachable-state count is a behaviour oracle: a change that
+   moves it changed what the composition layer can do (or what its
+   canonical state distinguishes), even if no property fails. *)
+let test_exhaust proto ~states () =
   let stats =
     Explore.run ~proto ~scope:tiny_scope ~mutate:false ~strategy:Explore.Bfs ()
   in
   Alcotest.(check bool) "exhausted" true stats.Explore.exhausted;
   Alcotest.(check bool) "no violation" true (stats.Explore.violation = None);
-  Alcotest.(check bool) "nontrivial" true (stats.Explore.visited > 1000);
+  Alcotest.(check int) "reachable states" states stats.Explore.visited;
   let cov = stats.Explore.coverage in
   Alcotest.(check bool) "reached a wedge" true cov.Harness.cov_wedged;
   Alcotest.(check bool) "activated epoch 1" true cov.Harness.cov_activated;
@@ -136,9 +139,10 @@ let () =
     [
       ( "exhaustion",
         [
-          Alcotest.test_case "core tiny scope" `Slow (test_exhaust Harness.core);
+          Alcotest.test_case "core tiny scope" `Slow
+            (test_exhaust Harness.core ~states:2126);
           Alcotest.test_case "stopworld tiny scope" `Slow
-            (test_exhaust Harness.stopworld);
+            (test_exhaust Harness.stopworld ~states:2126);
         ] );
       ( "teeth",
         [
