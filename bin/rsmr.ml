@@ -137,7 +137,8 @@ let run_scenario seed proto replicas clients duration drop keys read_ratio
          match setup.Common.leader () with
          | Some l ->
            Printf.printf "t=+%g crashing leader n%d\n" at l;
-           setup.Common.cluster.Rsmr_iface.Cluster.crash l
+           Rsmr_iface.Overlay.crash
+             setup.Common.cluster.Rsmr_iface.Cluster.control l
          | None -> print_endline "no leader to crash")
    | None -> ());
   Common.run_to setup (t0 +. duration +. 10.0);

@@ -3,6 +3,7 @@ module Rng = Rsmr_sim.Rng
 module Trace = Rsmr_sim.Trace
 module Counters = Rsmr_sim.Counters
 module Stable = Rsmr_sim.Stable
+module Batcher = Rsmr_sim.Batcher
 module Node_id = Rsmr_net.Node_id
 
 type outstanding = {
@@ -21,12 +22,9 @@ type t = {
   mutable epoch : int;
   lookup : ((Rsmr_app.Dir_app.entry option -> unit) -> unit) option;
   req_timeout : float;
-  batch_window : float;
-  batch_max : int;
   on_reply : seq:int -> rsp:string -> unit;
   pending : (int, outstanding) Hashtbl.t;
-  mutable batch_buf : int list; (* buffered seqs, newest first *)
-  mutable batch_timer : Engine.timer option;
+  batch : (t, int) Batcher.t; (* coalescing window over seqs *)
   mutable rr : int;
   mutable max_seq : int;
   mutable last_target : Node_id.t option;
@@ -52,33 +50,6 @@ let lifecycle t ev ~seq =
       ev
   | Some _ | None -> ()
 
-let create ~engine ~me ~send ~members ?lookup ?(req_timeout = 0.5)
-    ?(batch_window = 0.0) ?(batch_max = 16) ?bus ~on_reply () =
-  if members = [] then invalid_arg "Endpoint.create: empty member list";
-  {
-    engine;
-    me;
-    send;
-    members;
-    leader = None;
-    epoch = 0;
-    lookup;
-    req_timeout;
-    batch_window;
-    batch_max;
-    on_reply;
-    pending = Hashtbl.create 8;
-    batch_buf = [];
-    batch_timer = None;
-    rr = 0;
-    max_seq = 0;
-    last_target = None;
-    rng = Rng.split (Engine.rng engine);
-    counters = Counters.create ();
-    lookup_inflight = false;
-    bus;
-  }
-
 let target t =
   let chosen =
     match t.leader with
@@ -101,6 +72,11 @@ let cancel_timer t o =
     o.timer <- None
   | None -> ()
 
+let low_water t =
+  Stable.fold_sorted ~compare:Int.compare
+    (fun s _ acc -> min s acc)
+    t.pending (t.max_seq + 1)
+
 let rec attempt t seq =
   match Hashtbl.find_opt t.pending seq with
   | None -> ()
@@ -108,11 +84,7 @@ let rec attempt t seq =
     cancel_timer t o;
     o.attempts <- o.attempts + 1;
     Counters.incr t.counters "sent";
-    let low_water =
-      Stable.fold_sorted ~compare:Int.compare
-        (fun s _ acc -> min s acc)
-        t.pending (t.max_seq + 1)
-    in
+    let low_water = low_water t in
     t.send ~dst:(target t)
       (Client_msg.Request { seq; low_water; payload = o.payload });
     o.timer <-
@@ -145,24 +117,12 @@ and refresh_members t =
         | Some _ | None -> ())
   | Some _ | None -> ()
 
-let low_water t =
-  Stable.fold_sorted ~compare:Int.compare
-    (fun s _ acc -> min s acc)
-    t.pending (t.max_seq + 1)
-
-(* Ship the coalescing buffer as one framed multi-request message (or a
-   plain [Request] when only one command accumulated).  Every inner
+(* Ship a coalesced window as one framed multi-request message (or a
+   plain [Request] when only one command is still pending).  Every inner
    request keeps its own retry timer; retries and redirects then flow
    through the ordinary single-request path, so batching only changes the
    first transmission. *)
-let flush_batch t =
-  (match t.batch_timer with
-   | Some timer ->
-     Engine.cancel t.engine timer;
-     t.batch_timer <- None
-   | None -> ());
-  let seqs = List.rev t.batch_buf in
-  t.batch_buf <- [];
+let send_batch t seqs =
   let live =
     List.filter_map
       (fun seq ->
@@ -189,6 +149,33 @@ let flush_batch t =
                  on_timeout t seq)))
       live
 
+let batch_sink =
+  { Batcher.capacity = (fun _ -> max_int); one = attempt; many = send_batch }
+
+let create ~engine ~me ~send ~members ?lookup ?(req_timeout = 0.5)
+    ?(batch_window = 0.0) ?(batch_max = 16) ?bus ~on_reply () =
+  if members = [] then invalid_arg "Endpoint.create: empty member list";
+  {
+    engine;
+    me;
+    send;
+    members;
+    leader = None;
+    epoch = 0;
+    lookup;
+    req_timeout;
+    on_reply;
+    pending = Hashtbl.create 8;
+    batch = Batcher.create engine ~delay:batch_window ~max:batch_max batch_sink;
+    rr = 0;
+    max_seq = 0;
+    last_target = None;
+    rng = Rng.split (Engine.rng engine);
+    counters = Counters.create ();
+    lookup_inflight = false;
+    bus;
+  }
+
 let submit t ~seq ~payload =
   if seq > t.max_seq then t.max_seq <- seq;
   if not (Hashtbl.mem t.pending seq) then begin
@@ -196,19 +183,9 @@ let submit t ~seq ~payload =
       { payload; attempts = 0; redirects = 0; timer = None };
     lifecycle t "submit" ~seq
   end;
-  if t.batch_window <= 0.0 then attempt t seq
-  else begin
-    if not (List.mem seq t.batch_buf) then begin
-      t.batch_buf <- seq :: t.batch_buf;
-      if List.length t.batch_buf >= t.batch_max then flush_batch t
-      else if t.batch_timer = None then
-        t.batch_timer <-
-          Some
-            (Engine.schedule t.engine ~delay:t.batch_window (fun () ->
-                 t.batch_timer <- None;
-                 flush_batch t))
-    end
-  end
+  (* A seq already waiting in the window is not buffered twice. *)
+  if not (Batcher.mem t.batch ~equal:Int.equal seq) then
+    Batcher.add t.batch t seq
 
 let handle t msg =
   match (msg : Client_msg.t) with
@@ -292,10 +269,6 @@ let fingerprint t =
   W.varint w t.max_seq;
   W.option w node t.last_target;
   W.bool w t.lookup_inflight;
-  W.list w W.varint (List.rev t.batch_buf);
-  W.bool w
-    (match t.batch_timer with
-     | Some tm -> Engine.is_pending tm
-     | None -> false);
+  Batcher.fingerprint w t.batch ~order:`Oldest_first W.varint;
   W.contents w
 [@@rsmr.codec.oneway]

@@ -32,9 +32,10 @@ val create :
     when it is non-empty and ignores [None] / empty answers.
     [req_timeout] defaults to 0.5 s.
 
-    [batch_window] > 0 turns on client-side coalescing: submissions
-    accumulate for that long (or until [batch_max] of them, default 16)
-    and ship as one {!Client_msg.Request_batch}.  Retries and redirects
+    [batch_window] > 0 turns on client-side coalescing (a
+    {!Rsmr_sim.Batcher} window): submissions accumulate for that long (or
+    until [batch_max] of them, default 16) and ship as one
+    {!Client_msg.Request_batch}.  Retries and redirects
     always travel as single requests, so at-most-once and ordering
     semantics are unchanged.  Default [0.]: every submission is sent
     immediately.

@@ -1375,22 +1375,10 @@ struct
               ~payload:(Client_msg.Cmd cmd)
           | None -> invalid_arg "submit: unknown client (call add_client)");
       set_on_reply = (fun h -> t.on_reply <- h);
-      reconfigure = (fun members -> reconfigure t members);
       members = (fun () -> Directory.members t.dir);
-      crash = (fun node -> Network.crash t.net node);
-      recover = (fun node -> Network.recover t.net node);
       control =
-        {
-          Rsmr_iface.Overlay.fault =
-            (fun f ->
-              match (f : Rsmr_iface.Overlay.fault) with
-              | Rsmr_iface.Overlay.Crash n -> Network.crash t.net n
-              | Rsmr_iface.Overlay.Recover n -> Network.recover t.net n
-              | Rsmr_iface.Overlay.Partition groups ->
-                Network.partition t.net groups
-              | Rsmr_iface.Overlay.Heal -> Network.heal t.net);
-          reconfigure = (fun members -> reconfigure t members);
-        };
+        Rsmr_iface.Overlay.on_network t.net ~reconfigure:(fun members ->
+            reconfigure t members);
       obs = t.obs;
     }
 end

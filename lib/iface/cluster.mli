@@ -21,23 +21,14 @@ type t = {
           at-most-once per (client, seq) and replies via [set_on_reply].
           Retries of the same (client, seq) are safe. *)
   set_on_reply : reply_handler -> unit;
-  reconfigure : Rsmr_net.Node_id.t list -> unit;
-      (** Ask the service to move to the given member set.
-          @deprecated Use [control.reconfigure] ({!Overlay.control}) — the
-          field remains so existing constructors keep compiling, but new
-          call sites should go through [control]. *)
   members : unit -> Rsmr_net.Node_id.t list;
       (** Current (believed) member set. *)
-  crash : Rsmr_net.Node_id.t -> unit;
-      (** @deprecated Use [control.fault (Crash n)] ({!Overlay.control}). *)
-  recover : Rsmr_net.Node_id.t -> unit;
-      (** @deprecated Use [control.fault (Recover n)]
-          ({!Overlay.control}). *)
   control : Overlay.control;
-      (** The unified fault-injection / control surface ({!Overlay}),
-          shared verbatim with {!Rsmr_shard}'s platform.  [Partition] and
-          [Heal] here split and repair replica↔replica connectivity on
-          the service's own network. *)
+      (** The one fault-injection / control surface ({!Overlay}), shared
+          verbatim with {!Rsmr_shard}'s platform: crashes, partitions and
+          membership changes all go through it.  [Partition] and [Heal]
+          here split and repair replica↔replica connectivity on the
+          service's own network. *)
   obs : Rsmr_obs.Registry.t;
       (** The run's Observatory registry.  Network accounting lives in the
           attached ["net"] section and protocol-level accounting in

@@ -9,8 +9,19 @@ type control = {
   reconfigure : Rsmr_net.Node_id.t list -> unit;
 }
 
+let on_network net ~reconfigure =
+  let module N = Rsmr_net.Network in
+  {
+    fault =
+      (function
+        | Crash n -> N.crash net n
+        | Recover n -> N.recover net n
+        | Partition groups -> N.partition net groups
+        | Heal -> N.heal net);
+    reconfigure;
+  }
+
 let crash c n = c.fault (Crash n)
 let recover c n = c.fault (Recover n)
-let partition c groups = c.fault (Partition groups)
 let heal c = c.fault Heal
 let reconfigure c members = c.reconfigure members

@@ -20,10 +20,15 @@ type control = {
       (** submit a membership change (platform: directory membership) *)
 }
 
+val on_network :
+  'm Rsmr_net.Network.t ->
+  reconfigure:(Rsmr_net.Node_id.t list -> unit) ->
+  control
+(** A single service's surface: every fault acts on its one network. *)
+
 (** Convenience wrappers over [control]. *)
 
 val crash : control -> Rsmr_net.Node_id.t -> unit
 val recover : control -> Rsmr_net.Node_id.t -> unit
-val partition : control -> Rsmr_net.Node_id.t list list -> unit
 val heal : control -> unit
 val reconfigure : control -> Rsmr_net.Node_id.t list -> unit

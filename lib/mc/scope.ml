@@ -60,6 +60,9 @@ let reconfig_members t r =
 let set t key value =
   match int_of_string_opt value with
   | None -> Error (Printf.sprintf "scope: %s=%s is not an integer" key value)
+  (* A scope needs at least one member; every other budget is a count. *)
+  | Some v when v < 0 || (v = 0 && String.equal key "nodes") ->
+    Error (Printf.sprintf "scope: %s=%d is out of range" key v)
   | Some v -> (
     match key with
     | "nodes" -> Ok { t with nodes = v }

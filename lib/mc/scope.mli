@@ -62,7 +62,8 @@ val reconfig_members : t -> int -> int list
 val parse : string -> (t, string) result
 (** ["minimal"], ["small"], or either followed by comma-separated
     [key=value] overrides (e.g. ["minimal,commands=1,depth=20"]; a bare
-    override list starts from [minimal]). *)
+    override list starts from [minimal]).  An override out of range is an
+    [Error]: [nodes] must be at least 1 and every other key at least 0. *)
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

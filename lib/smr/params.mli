@@ -13,17 +13,17 @@ type t = {
   resend_interval : float;     (** leader re-broadcast period for stuck slots *)
   learn_batch : int;           (** max entries per Learn response *)
   batch_delay : float;
-      (** leader-side batching window: submissions are accumulated for this
-          long (seconds) and proposed with a single [Accept_multi] per
-          follower.  0 disables the window (a lone submission is proposed
-          immediately as a plain [Accept]; vector submissions via
+      (** the leader's {!Rsmr_sim.Batcher} window (seconds; Raft keeps its
+          own): submissions accumulate this long and are proposed as one
+          multi-command run.  0 disables the window (a lone submission is
+          proposed at once in a single slot; vector submissions via
           [submit_many] still travel as one batch). *)
   batch_max : int;  (** flush early at this many buffered commands *)
   max_outstanding : int;
-      (** pipelining cap: the leader keeps at most this many uncommitted
-          slots in flight; further submissions wait in the batch buffer
-          until commit progress frees a slot.  Also bounds the resend
-          window for stuck slots. *)
+      (** pipelining cap, the batcher's capacity: at most this many
+          uncommitted slots in flight; further submissions wait in the
+          batcher until commit progress pumps them.  Also bounds the
+          resend window for stuck slots (Raft: entries per [Append]). *)
 }
 
 val with_batching : float -> t

@@ -3,6 +3,7 @@ module Rng = Rsmr_sim.Rng
 module Trace = Rsmr_sim.Trace
 module Counters = Rsmr_sim.Counters
 module Stable = Rsmr_sim.Stable
+module Batcher = Rsmr_sim.Batcher
 module Node_id = Rsmr_net.Node_id
 
 type status = Leader | Candidate | Follower
@@ -45,9 +46,7 @@ type t = {
   mutable known_committed : int;
   mutable known_committed_ballot : Ballot.t;
   pending : string Queue.t;
-  mutable batch_buf : string list; (* newest first; leader only *)
-  mutable batch_len : int; (* List.length batch_buf, kept O(1) *)
-  mutable batch_timer : Engine.timer option;
+  batch : (t, string) Batcher.t; (* leader only *)
   mutable election_timer : Engine.timer option;
   mutable hb_timer : Engine.timer option;
   mutable resend_timer : Engine.timer option;
@@ -258,7 +257,7 @@ and maybe_commit_solo t lead =
       (Stable.sorted_keys ~compare:Int.compare lead.acks);
     Hashtbl.reset lead.acks;
     deliver t;
-    pump t
+    Batcher.pump t.batch t
   end
 
 and start_heartbeat t =
@@ -332,14 +331,20 @@ and start_resend t =
   t.resend_timer <-
     Some (Engine.schedule t.engine ~delay:t.params.Params.resend_interval tick)
 
+(* Take the next slot for [kind] at our ballot; our own acceptance is
+   the first ack. *)
+and claim_slot t lead kind =
+  incr t.c_proposals;
+  let index = lead.next_index in
+  lead.next_index <- index + 1;
+  Log.set t.log index { Log.ballot = lead.l_ballot; kind };
+  Hashtbl.replace lead.acks index (ref (Node_id.Set.singleton t.me))
+
 and propose t kind =
   match t.role with
   | R_leader lead ->
-    incr t.c_proposals;
     let index = lead.next_index in
-    lead.next_index <- index + 1;
-    Log.set t.log index { Log.ballot = lead.l_ballot; kind };
-    Hashtbl.replace lead.acks index (ref (Node_id.Set.singleton t.me));
+    claim_slot t lead kind;
     broadcast t
       (Msg.Accept
          {
@@ -351,84 +356,39 @@ and propose t kind =
     maybe_commit_solo t lead
   | R_candidate _ | R_follower -> invalid_arg "propose: not leader"
 
-(* Leader-side batching + pipelining: accumulate submissions for
-   batch_delay seconds (or batch_max commands) and propose them with a
-   single Accept_multi broadcast, keeping at most max_outstanding
-   uncommitted slots in flight.  batch_delay = 0 skips the window (a lone
-   submission is proposed immediately as a plain Accept), but vector
-   submissions still travel as one batch. *)
-and buffer_value t value =
-  t.batch_buf <- value :: t.batch_buf;
-  t.batch_len <- t.batch_len + 1
-
-and enqueue_value t value =
-  buffer_value t value;
-  if
-    t.params.Params.batch_delay <= 0.0
-    || t.batch_len >= t.params.Params.batch_max
-  then flush_batch t
-  else if t.batch_timer = None then
-    t.batch_timer <-
-      Some
-        (Engine.schedule t.engine ~delay:t.params.Params.batch_delay (fun () ->
-             t.batch_timer <- None;
-             flush_batch t))
-
-and flush_batch t =
+(* Leader-side batching + pipelining lives in [t.batch] (see
+   {!Rsmr_sim.Batcher}); these are its sink.  Pipelining cap: only as
+   many slots as commit progress has freed. *)
+and batch_capacity t =
   match t.role with
-  | R_leader lead when t.batch_buf <> [] ->
-    (* Pipelining cap: only as many slots as commit progress has freed.
-       Whatever does not fit stays buffered and is re-flushed by [pump]
-       when commits advance (the window has already elapsed by then). *)
-    let cap =
-      t.params.Params.max_outstanding
-      - (lead.next_index - Log.committed_prefix t.log)
-    in
-    if cap > 0 then begin
-      let values = List.rev t.batch_buf in
-      let rec split n acc rest =
-        match rest with
-        | _ when n = 0 -> (List.rev acc, rest)
-        | [] -> (List.rev acc, [])
-        | x :: tl -> split (n - 1) (x :: acc) tl
-      in
-      let now_values, later = split (min cap t.batch_len) [] values in
-      t.batch_buf <- List.rev later;
-      t.batch_len <- List.length later;
-      t.batch_timer <- cancel_timer t t.batch_timer;
-      match now_values with
-      | [] -> ()
-      | [ value ] -> propose t (Log.Value value)
-      | _ ->
-        let from_index = lead.next_index in
-        let kinds =
-          List.map
-            (fun value ->
-              let index = lead.next_index in
-              lead.next_index <- index + 1;
-              let kind = Log.Value value in
-              incr t.c_proposals;
-              Log.set t.log index { Log.ballot = lead.l_ballot; kind };
-              Hashtbl.replace lead.acks index (ref (Node_id.Set.singleton t.me));
-              kind)
-            now_values
-        in
-        broadcast t
-          (Msg.Accept_multi
-             {
-               ballot = lead.l_ballot;
-               from_index;
-               kinds;
-               commit_index = Log.committed_prefix t.log;
-             });
-        maybe_commit_solo t lead
-    end
-  | _ -> ()
+  | R_leader lead ->
+    t.params.Params.max_outstanding
+    - (lead.next_index - Log.committed_prefix t.log)
+  | R_candidate _ | R_follower -> 0
 
-(* Commit progress freed pipeline slots: re-flush values that were parked
-   waiting for capacity.  An armed batch timer means the window is still
-   open — leave those to the timer. *)
-and pump t = if t.batch_len > 0 && t.batch_timer = None then flush_batch t
+(* A multi-value batch is one Accept_multi over consecutive slots. *)
+and propose_many t values =
+  match t.role with
+  | R_leader lead ->
+    let from_index = lead.next_index in
+    let kinds =
+      List.map
+        (fun value ->
+          let kind = Log.Value value in
+          claim_slot t lead kind;
+          kind)
+        values
+    in
+    broadcast t
+      (Msg.Accept_multi
+         {
+           ballot = lead.l_ballot;
+           from_index;
+           kinds;
+           commit_index = Log.committed_prefix t.log;
+         });
+    maybe_commit_solo t lead
+  | R_candidate _ | R_follower -> ()
 
 and drain_pending t =
   let rec drain f =
@@ -440,8 +400,8 @@ and drain_pending t =
   in
   match t.role with
   | R_leader _ ->
-    drain (fun value -> enqueue_value t value);
-    flush_batch t
+    drain (fun value -> Batcher.add t.batch t value);
+    Batcher.flush t.batch t
   | R_candidate _ -> ()
   | R_follower -> (
     match t.hint with
@@ -455,18 +415,22 @@ and drain_pending t =
        | values -> t.send ~dst (Msg.Submit_multi { values }))
     | _ -> ())
 
+let batch_sink =
+  {
+    Batcher.capacity = batch_capacity;
+    one = (fun t value -> propose t (Log.Value value));
+    many = propose_many;
+  }
+
 let step_down t ~higher =
   (match t.role with
    | R_leader _ | R_candidate _ ->
      trace t "stepping down (higher ballot %a)" Ballot.pp higher;
      t.hb_timer <- cancel_timer t t.hb_timer;
      t.resend_timer <- cancel_timer t t.resend_timer;
-     t.batch_timer <- cancel_timer t t.batch_timer;
      (* Unproposed batched values go back to pending so they get forwarded
         to whoever wins. *)
-     List.iter (fun v -> Queue.push v t.pending) (List.rev t.batch_buf);
-     t.batch_buf <- [];
-     t.batch_len <- 0;
+     List.iter (fun v -> Queue.push v t.pending) (Batcher.park t.batch);
      t.role <- R_follower
    | R_follower -> ());
   if Ballot.(t.promised < higher) then t.promised <- higher;
@@ -578,7 +542,7 @@ let on_accepted t ~src (ballot : Ballot.t) index =
         Hashtbl.remove lead.acks index;
         incr t.c_commits;
         deliver t;
-        pump t
+        Batcher.pump t.batch t
       end
     end
   | _ -> ()
@@ -608,7 +572,7 @@ let on_accepted_multi t ~src (ballot : Ballot.t) from_index upto =
     done;
     if !committed_any then begin
       deliver t;
-      pump t
+      Batcher.pump t.batch t
     end
   | _ -> ()
 
@@ -648,7 +612,7 @@ let on_learn_rsp t entries commit_index =
 let submit t value =
   if not t.halted then begin
     match t.role with
-    | R_leader _ -> enqueue_value t value
+    | R_leader _ -> Batcher.add t.batch t value
     | R_candidate _ -> Queue.push value t.pending
     | R_follower -> (
       match t.hint with
@@ -663,9 +627,7 @@ let submit t value =
 let submit_many t values =
   if (not t.halted) && values <> [] then begin
     match t.role with
-    | R_leader _ ->
-      List.iter (fun value -> buffer_value t value) values;
-      flush_batch t
+    | R_leader _ -> Batcher.add_all t.batch t values
     | R_candidate _ -> List.iter (fun value -> Queue.push value t.pending) values
     | R_follower -> (
       match t.hint with
@@ -701,7 +663,7 @@ let halt t =
     t.election_timer <- cancel_timer t t.election_timer;
     t.hb_timer <- cancel_timer t t.hb_timer;
     t.resend_timer <- cancel_timer t t.resend_timer;
-    t.batch_timer <- cancel_timer t t.batch_timer
+    Batcher.cancel t.batch
   end
 
 let kick_election t = if not t.halted then start_election t
@@ -741,9 +703,9 @@ let create ~engine ?(params = Params.default) ?trace ~config:cfg ~me ~send
       known_committed = 0;
       known_committed_ballot = Ballot.zero;
       pending = Queue.create ();
-      batch_buf = [];
-      batch_len = 0;
-      batch_timer = None;
+      batch =
+        Batcher.create engine ~delay:params.Params.batch_delay
+          ~max:params.Params.batch_max batch_sink;
       election_timer = None;
       hb_timer = None;
       resend_timer = None;
@@ -811,8 +773,7 @@ let fingerprint t =
   Ballot.encode w t.known_committed_ballot;
   W.list w W.string
     (List.rev (Queue.fold (fun acc v -> v :: acc) [] t.pending));
-  W.list w W.string t.batch_buf;
-  W.bool w (pending_timer t.batch_timer);
+  Batcher.fingerprint w t.batch ~order:`Newest_first W.string;
   W.bool w (pending_timer t.election_timer);
   W.bool w (pending_timer t.hb_timer);
   W.bool w (pending_timer t.resend_timer);

@@ -1,5 +1,6 @@
 module Engine = Rsmr_sim.Engine
 module Rng = Rsmr_sim.Rng
+module Batcher = Rsmr_sim.Batcher
 module Node_id = Rsmr_net.Node_id
 module W = Rsmr_app.Codec.Writer
 module R = Rsmr_app.Codec.Reader
@@ -211,9 +212,7 @@ type t = {
   mutable executed : int;
   acks : (int, Node_id.Set.t ref) Hashtbl.t;
   pending : string Queue.t;
-  mutable batch_buf : string list; (* newest first; primary only *)
-  mutable batch_len : int; (* List.length batch_buf, kept O(1) *)
-  mutable batch_timer : Engine.timer option;
+  batch : (t, string) Batcher.t; (* primary only *)
   mutable view_timer : Engine.timer option;
   mutable hb_timer : Engine.timer option;
   mutable resend_timer : Engine.timer option;
@@ -291,10 +290,7 @@ let broadcast t msg =
 (* A primary losing its status (view change) returns unproposed batched
    values to pending so they get forwarded to whoever leads next. *)
 let park_batch t =
-  t.batch_timer <- cancel t t.batch_timer;
-  List.iter (fun v -> Queue.push v t.pending) (List.rev t.batch_buf);
-  t.batch_buf <- [];
-  t.batch_len <- 0
+  List.iter (fun v -> Queue.push v t.pending) (Batcher.park t.batch)
 
 (* --- timers --- *)
 
@@ -397,7 +393,7 @@ and maybe_commit_solo t =
     t.commit <- t.len;
     Hashtbl.reset t.acks;
     execute t;
-    pump t
+    Batcher.pump t.batch t
   end
 
 and advance_commit t =
@@ -411,68 +407,31 @@ and advance_commit t =
   done;
   execute t
 
+(* Append at the primary; its own copy is the first ack. *)
+and append_op t value =
+  Hashtbl.replace t.acks t.len (ref (Node_id.Set.singleton t.me));
+  append t value
+
 and propose t value =
   let op = t.len in
-  append t value;
-  Hashtbl.replace t.acks op (ref (Node_id.Set.singleton t.me));
+  append_op t value;
   broadcast t (Msg.Prepare { view = t.view; op; value; commit = t.commit });
   maybe_commit_solo t
 
-(* Primary-side batching + pipelining, mirroring {!Replica}: submissions
-   accumulate for batch_delay (or batch_max commands) and are prepared as
-   one multi-op run, with at most max_outstanding uncommitted ops in
-   flight; the overflow stays buffered until commit progress pumps it. *)
-and buffer_value t value =
-  t.batch_buf <- value :: t.batch_buf;
-  t.batch_len <- t.batch_len + 1
+(* Primary-side batching + pipelining lives in [t.batch] (see
+   {!Rsmr_sim.Batcher}); these are its sink.  At most max_outstanding
+   uncommitted ops are in flight. *)
+and batch_capacity t =
+  if is_leader t then t.params.Params.max_outstanding - (t.len - t.commit)
+  else 0
 
-and enqueue_value t value =
-  buffer_value t value;
-  if
-    t.params.Params.batch_delay <= 0.0
-    || t.batch_len >= t.params.Params.batch_max
-  then flush_batch t
-  else if t.batch_timer = None then
-    t.batch_timer <-
-      Some
-        (Engine.schedule t.engine ~delay:t.params.Params.batch_delay (fun () ->
-             t.batch_timer <- None;
-             flush_batch t))
-
-and flush_batch t =
-  if is_leader t && t.batch_buf <> [] then begin
-    let cap = t.params.Params.max_outstanding - (t.len - t.commit) in
-    if cap > 0 then begin
-      let values = List.rev t.batch_buf in
-      let rec split n acc rest =
-        match rest with
-        | _ when n = 0 -> (List.rev acc, rest)
-        | [] -> (List.rev acc, [])
-        | x :: tl -> split (n - 1) (x :: acc) tl
-      in
-      let now_values, later = split (min cap t.batch_len) [] values in
-      t.batch_buf <- List.rev later;
-      t.batch_len <- List.length later;
-      t.batch_timer <- cancel t t.batch_timer;
-      match now_values with
-      | [] -> ()
-      | [ value ] -> propose t value
-      | _ ->
-        let from_op = t.len in
-        List.iter
-          (fun value ->
-            let op = t.len in
-            append t value;
-            Hashtbl.replace t.acks op (ref (Node_id.Set.singleton t.me)))
-          now_values;
-        broadcast t
-          (Msg.Prepare_multi
-             { view = t.view; from_op; values = now_values; commit = t.commit });
-        maybe_commit_solo t
-    end
-  end
-
-and pump t = if t.batch_len > 0 && t.batch_timer = None then flush_batch t
+(* A multi-value batch is prepared as one multi-op run. *)
+and propose_many t values =
+  let from_op = t.len in
+  List.iter (fun value -> append_op t value) values;
+  broadcast t
+    (Msg.Prepare_multi { view = t.view; from_op; values; commit = t.commit });
+  maybe_commit_solo t
 
 and drain_pending t =
   let rec drain f =
@@ -483,8 +442,8 @@ and drain_pending t =
     | None -> ()
   in
   if is_leader t then begin
-    drain (fun value -> enqueue_value t value);
-    flush_batch t
+    drain (fun value -> Batcher.add t.batch t value);
+    Batcher.flush t.batch t
   end
   else if t.status = Normal then begin
     let p = primary t in
@@ -546,6 +505,9 @@ and start_resend t =
 
 (* --- normal-protocol handlers --- *)
 
+let batch_sink =
+  { Batcher.capacity = batch_capacity; one = propose; many = propose_many }
+
 let behind t view = view > t.view
 
 let catch_up t view =
@@ -606,7 +568,7 @@ let on_prepare_ok t ~src ~view ~op =
      | Some acked -> acked := Node_id.Set.add src !acked
      | None -> () (* already committed *));
     advance_commit t;
-    pump t
+    Batcher.pump t.batch t
   end
 
 let on_prepare_ok_multi t ~src ~view ~from_op ~upto =
@@ -617,7 +579,7 @@ let on_prepare_ok_multi t ~src ~view ~from_op ~upto =
       | None -> () (* already committed *)
     done;
     advance_commit t;
-    pump t
+    Batcher.pump t.batch t
   end
 
 let on_commit t ~view ~commit =
@@ -694,7 +656,7 @@ let on_new_state t ~view ~from ~ops ~commit =
 
 let submit t value =
   if not t.halted then begin
-    if is_leader t then enqueue_value t value
+    if is_leader t then Batcher.add t.batch t value
     else begin
       Queue.push value t.pending;
       drain_pending t
@@ -706,10 +668,7 @@ let submit t value =
    regardless of the batching window, preserving order. *)
 let submit_many t values =
   if (not t.halted) && values <> [] then begin
-    if is_leader t then begin
-      List.iter (fun value -> buffer_value t value) values;
-      flush_batch t
-    end
+    if is_leader t then Batcher.add_all t.batch t values
     else begin
       List.iter (fun value -> Queue.push value t.pending) values;
       drain_pending t
@@ -756,7 +715,7 @@ let halt t =
     t.view_timer <- cancel t t.view_timer;
     t.hb_timer <- cancel t t.hb_timer;
     t.resend_timer <- cancel t t.resend_timer;
-    t.batch_timer <- cancel t t.batch_timer
+    Batcher.cancel t.batch
   end
 
 let create ~engine ~params ~config ~me ~send ?broadcast ?obs ~on_decide () =
@@ -789,9 +748,9 @@ let create ~engine ~params ~config ~me ~send ?broadcast ?obs ~on_decide () =
       executed = 0;
       acks = Hashtbl.create 64;
       pending = Queue.create ();
-      batch_buf = [];
-      batch_len = 0;
-      batch_timer = None;
+      batch =
+        Batcher.create engine ~delay:params.Params.batch_delay
+          ~max:params.Params.batch_max batch_sink;
       view_timer = None;
       hb_timer = None;
       resend_timer = None;
@@ -845,8 +804,7 @@ let fingerprint t =
           t.acks []));
   W.list w W.string
     (List.rev (Queue.fold (fun acc v -> v :: acc) [] t.pending));
-  W.list w W.string t.batch_buf;
-  W.bool w (pending_timer t.batch_timer);
+  Batcher.fingerprint w t.batch ~order:`Newest_first W.string;
   W.bool w (pending_timer t.view_timer);
   W.bool w (pending_timer t.hb_timer);
   W.bool w (pending_timer t.resend_timer);

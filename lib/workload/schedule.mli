@@ -7,7 +7,6 @@ val reconfigure_at :
   Rsmr_iface.Cluster.t -> time:float -> Rsmr_net.Node_id.t list -> unit
 
 val crash_at : Rsmr_iface.Cluster.t -> time:float -> Rsmr_net.Node_id.t -> unit
-val recover_at : Rsmr_iface.Cluster.t -> time:float -> Rsmr_net.Node_id.t -> unit
 
 val rolling_plan :
   universe:Rsmr_net.Node_id.t list ->

@@ -18,6 +18,22 @@ let tiny_scope =
   | Ok s -> s
   | Error e -> failwith e
 
+(* --- scope parsing rejects out-of-range budgets --- *)
+
+let test_parse_ranges () =
+  let rejects s =
+    match Scope.parse s with
+    | Ok _ -> Alcotest.failf "Scope.parse %S accepted an out-of-range value" s
+    | Error _ -> ()
+  in
+  List.iter rejects
+    [ "minimal,nodes=0,spare=0"; "minimal,nodes=-1"; "minimal,commands=-3";
+      "small,depth=-1"; "batch=-2" ];
+  match Scope.parse "minimal,nodes=1,spare=0,commands=0,drops=0" with
+  | Ok s ->
+    Alcotest.(check (list int)) "one-node scope" [ 1 ] (Scope.initial_members s)
+  | Error e -> Alcotest.failf "in-range scope rejected: %s" e
+
 (* --- exhaustion: tiny scope, both protocol configurations --- *)
 
 (* The exact reachable-state count is a behaviour oracle: a change that
@@ -137,6 +153,9 @@ let prop_of_kv_framed =
 let () =
   Alcotest.run "mc"
     [
+      ( "scope",
+        [ Alcotest.test_case "parse rejects out-of-range values" `Quick
+            test_parse_ranges ] );
       ( "exhaustion",
         [
           Alcotest.test_case "core tiny scope" `Slow

@@ -8,6 +8,7 @@ module Timeseries = Rsmr_sim.Timeseries
 module Counters = Rsmr_sim.Counters
 module Trace = Rsmr_sim.Trace
 module Stable = Rsmr_sim.Stable
+module Batcher = Rsmr_sim.Batcher
 
 (* --- engine --- *)
 
@@ -411,6 +412,121 @@ let test_stable_no_revisit_of_added_keys () =
   Alcotest.(check bool) "late key present afterwards" true
     (Hashtbl.mem t 99)
 
+(* --- batcher: each window rule on its own, on a bare engine --- *)
+
+type emitted = One of int | Many of int list
+
+let emitted_str = function
+  | One v -> Printf.sprintf "one %d" v
+  | Many vs -> "many " ^ String.concat "," (List.map string_of_int vs)
+
+(* A batcher over ints whose sink records (time, emission); the owner
+   is unit, so each call passes [()]. *)
+let batcher ?(cap = ref max_int) ~delay ~max () =
+  let e = Engine.create () in
+  let out = ref [] in
+  let record x = out := (Engine.now e, emitted_str x) :: !out in
+  let sink =
+    {
+      Batcher.capacity = (fun () -> !cap);
+      one = (fun () v -> record (One v));
+      many = (fun () vs -> record (Many vs));
+    }
+  in
+  (e, Batcher.create e ~delay ~max sink, fun () -> List.rev !out)
+
+let emissions = Alcotest.(list (pair (float 1e-12) string))
+
+let test_batcher_window () =
+  let e, b, out = batcher ~delay:0.01 ~max:10 () in
+  List.iter (Batcher.add b ()) [ 1; 2; 3 ];
+  Alcotest.check emissions "nothing before the window closes" [] (out ());
+  Engine.run e;
+  Alcotest.check emissions "one batch when the window elapses"
+    [ (0.01, "many 1,2,3") ] (out ());
+  Alcotest.(check (list int)) "buffer empty" [] (Batcher.park b)
+
+let test_batcher_max () =
+  let e, b, out = batcher ~delay:1.0 ~max:3 () in
+  List.iter (Batcher.add b ()) [ 1; 2 ];
+  Alcotest.check emissions "below max: waiting" [] (out ());
+  Batcher.add b () 3;
+  Alcotest.check emissions "max reached: flushed at once"
+    [ (0.0, "many 1,2,3") ] (out ());
+  Alcotest.(check int) "window timer cancelled" 0 (Engine.pending_count e)
+
+let test_batcher_eager () =
+  let cap = ref max_int in
+  let e, b, out = batcher ~cap ~delay:0.0 ~max:10 () in
+  Batcher.add b () 1;
+  Batcher.add b () 2;
+  Alcotest.check emissions "each value goes out alone, at once"
+    [ (0.0, "one 1"); (0.0, "one 2") ] (out ());
+  Alcotest.(check int) "no timer" 0 (Engine.pending_count e);
+  cap := 0;
+  Batcher.add b () 3;
+  Alcotest.(check (list int)) "no capacity: held" [ 3 ] (Batcher.park b);
+  Alcotest.(check int) "still no timer" 0 (Engine.pending_count e)
+
+let test_batcher_capacity () =
+  let cap = ref 2 in
+  let e, b, out = batcher ~cap ~delay:0.01 ~max:10 () in
+  List.iter (Batcher.add b ()) [ 1; 2; 3; 4; 5 ];
+  Engine.run e;
+  Alcotest.check emissions "take limited to capacity"
+    [ (0.01, "many 1,2") ] (out ());
+  cap := 1;
+  Batcher.pump b ();
+  cap := 10;
+  Batcher.pump b ();
+  Alcotest.check emissions "pump takes the rest, oldest first"
+    [ (0.01, "many 1,2"); (0.01, "one 3"); (0.01, "many 4,5") ] (out ())
+
+let test_batcher_zero_capacity_keeps_timer () =
+  let cap = ref 0 in
+  let e, b, out = batcher ~cap ~delay:0.01 ~max:10 () in
+  Batcher.add b () 1;
+  Batcher.flush b ();
+  Alcotest.check emissions "nothing taken" [] (out ());
+  Alcotest.(check int) "armed timer left alone" 1 (Engine.pending_count e)
+
+let test_batcher_pump_waits_for_window () =
+  let e, b, out = batcher ~delay:0.01 ~max:10 () in
+  Batcher.add b () 1;
+  Batcher.pump b ();
+  Alcotest.check emissions "pump is a no-op while the window is open" []
+    (out ());
+  Engine.run e;
+  Alcotest.check emissions "the timer flushes" [ (0.01, "one 1") ] (out ())
+
+let test_batcher_park () =
+  let e, b, out = batcher ~delay:1.0 ~max:10 () in
+  List.iter (Batcher.add b ()) [ 1; 2; 3 ];
+  Alcotest.(check (list int)) "parked oldest first" [ 1; 2; 3 ] (Batcher.park b);
+  Alcotest.(check (list int)) "buffer empty" [] (Batcher.park b);
+  Alcotest.(check int) "timer cancelled" 0 (Engine.pending_count e);
+  Engine.run e;
+  Alcotest.check emissions "nothing emitted" [] (out ())
+
+let test_batcher_fingerprint () =
+  let bytes order b =
+    let w = Rsmr_app.Codec.Writer.create () in
+    Batcher.fingerprint w b ~order Rsmr_app.Codec.Writer.varint;
+    Rsmr_app.Codec.Writer.contents w
+  in
+  let _, b, _ = batcher ~delay:1.0 ~max:10 () in
+  Alcotest.(check string) "empty: no values, no timer" "\000\000"
+    (bytes `Newest_first b);
+  List.iter (Batcher.add b ()) [ 1; 2 ];
+  Alcotest.(check string) "armed, newest first" "\002\002\001\001"
+    (bytes `Newest_first b);
+  Alcotest.(check string) "armed, oldest first" "\002\001\002\001"
+    (bytes `Oldest_first b);
+  let _, full, _ = batcher ~cap:(ref 0) ~delay:0.0 ~max:3 () in
+  List.iter (Batcher.add full ()) [ 1; 2; 3 ];
+  Alcotest.(check string) "full, held for capacity, no timer"
+    "\003\003\002\001\000" (bytes `Newest_first full)
+
 let () =
   Alcotest.run "sim"
     [
@@ -464,6 +580,23 @@ let () =
             test_stable_no_revisit_of_added_keys;
         ] );
       ("counters", [ Alcotest.test_case "basic" `Quick test_counters ]);
+      ( "batcher",
+        [
+          Alcotest.test_case "window elapses, then flush" `Quick
+            test_batcher_window;
+          Alcotest.test_case "max flushes early" `Quick test_batcher_max;
+          Alcotest.test_case "delay 0 is eager" `Quick test_batcher_eager;
+          Alcotest.test_case "capacity-limited take, rest to pump" `Quick
+            test_batcher_capacity;
+          Alcotest.test_case "zero capacity keeps the timer" `Quick
+            test_batcher_zero_capacity_keeps_timer;
+          Alcotest.test_case "pump waits for an armed window" `Quick
+            test_batcher_pump_waits_for_window;
+          Alcotest.test_case "park returns oldest first, cancels timer" `Quick
+            test_batcher_park;
+          Alcotest.test_case "fingerprint bytes" `Quick
+            test_batcher_fingerprint;
+        ] );
       ( "trace",
         [ Alcotest.test_case "counts+retention" `Quick test_trace_counts_and_retention ]
       );

@@ -222,7 +222,7 @@ let test_service_over_vr_reconfigures () =
   run_until h ~deadline:10.0 (fun () ->
       List.for_all (fun i -> Hashtbl.mem h.replies (100, i))
         (List.init 8 (fun i -> i + 1)));
-  h.cluster.Rsmr_iface.Cluster.reconfigure [ 3; 4; 5 ];
+  Rsmr_iface.Overlay.reconfigure h.cluster.Rsmr_iface.Cluster.control [ 3; 4; 5 ];
   run_until h ~deadline:60.0 (fun () -> KvOnVr.current_epoch h.svc = 1);
   submit h ~seq:9 (Kv.Get "k5");
   run_until h ~deadline:90.0 (fun () -> Hashtbl.mem h.replies (100, 9));
@@ -239,7 +239,7 @@ let test_service_over_vr_exactly_once () =
   submit h ~seq:1 (Kv.Append ("acc", "x"));
   run_until h ~deadline:5.0 (fun () -> Hashtbl.mem h.replies (100, 1));
   (* Retry the same sequence around a reconfiguration. *)
-  h.cluster.Rsmr_iface.Cluster.reconfigure [ 2; 3; 4 ];
+  Rsmr_iface.Overlay.reconfigure h.cluster.Rsmr_iface.Cluster.control [ 2; 3; 4 ];
   submit h ~seq:1 (Kv.Append ("acc", "x"));
   run_until h ~deadline:60.0 (fun () -> KvOnVr.current_epoch h.svc = 1);
   submit h ~seq:2 (Kv.Get "acc");
