@@ -141,19 +141,12 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
        | Some members -> members
        | None -> node.snap_members)
 
-  let cancel t slot =
-    match slot with
-    | Some timer ->
-      Engine.cancel t.engine timer;
-      None
-    | None -> None
-
   let sorted members = List.sort_uniq Node_id.compare members
 
   (* --- timers / elections --- *)
 
   let rec reset_election_timer t node =
-    node.election_timer <- cancel t node.election_timer;
+    node.election_timer <- Engine.cancel_slot t.engine node.election_timer;
     if not node.halted then begin
       let delay =
         Rng.uniform_in node.rng t.params.Params.election_timeout_min
@@ -228,7 +221,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
     try_next_step t node
 
   and start_heartbeat t node =
-    node.hb_timer <- cancel t node.hb_timer;
+    node.hb_timer <- Engine.cancel_slot t.engine node.hb_timer;
     let rec tick () =
       match node.role with
       | Leader _ when not node.halted ->
@@ -250,8 +243,8 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
     (match node.role with
      | Leader _ | Candidate _ ->
        node.role <- Follower;
-       node.hb_timer <- cancel t node.hb_timer;
-       node.batch_timer <- cancel t node.batch_timer;
+       node.hb_timer <- Engine.cancel_slot t.engine node.hb_timer;
+       node.batch_timer <- Engine.cancel_slot t.engine node.batch_timer;
        node.batch_n <- 0
      | Follower -> ());
     reset_election_timer t node
@@ -284,7 +277,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
     end
 
   and flush_appends t node =
-    node.batch_timer <- cancel t node.batch_timer;
+    node.batch_timer <- Engine.cancel_slot t.engine node.batch_timer;
     node.batch_n <- 0;
     match node.role with
     | Leader _ when not node.halted ->
@@ -495,9 +488,9 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
   and halt_node t node =
     if not node.halted then begin
       node.halted <- true;
-      node.election_timer <- cancel t node.election_timer;
-      node.hb_timer <- cancel t node.hb_timer;
-      node.batch_timer <- cancel t node.batch_timer;
+      node.election_timer <- Engine.cancel_slot t.engine node.election_timer;
+      node.hb_timer <- Engine.cancel_slot t.engine node.hb_timer;
+      node.batch_timer <- Engine.cancel_slot t.engine node.batch_timer;
       node.batch_n <- 0;
       node.role <- Follower
     end
@@ -740,6 +733,14 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
 
   (* --- client handling --- *)
 
+  (* Point client [dst] at [leader] and this server's configuration. *)
+  let redirect t node ~dst ~seq ~leader =
+    Counters.incr t.counters "redirects";
+    Network.send t.net ~src:node.me ~dst
+      (Raft_wire.Client
+         (Client_msg.Redirect
+            { seq; leader; members = node.config; epoch = node.config_index }))
+
   let handle_request t node ~src ~seq ~low_water ~payload =
     Counters.incr t.counters "requests";
     match node.role with
@@ -765,17 +766,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
              reply_client t node ~client:src ~seq ~rsp:"ok"
            else node.pending_target <- Some (target, src, seq));
         try_next_step t node)
-    | _ ->
-      Counters.incr t.counters "redirects";
-      Network.send t.net ~src:node.me ~dst:src
-        (Raft_wire.Client
-           (Client_msg.Redirect
-              {
-                seq;
-                leader = node.leader_hint;
-                members = node.config;
-                epoch = node.config_index;
-              }))
+    | _ -> redirect t node ~dst:src ~seq ~leader:node.leader_hint
 
   (* A coalesced client window: per-request dedup/reply semantics are those
      of [handle_request], but all fresh commands append first and the
@@ -811,16 +802,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
       List.iter
         (fun (seq, _) ->
           Counters.incr t.counters "requests";
-          Counters.incr t.counters "redirects";
-          Network.send t.net ~src:node.me ~dst:src
-            (Raft_wire.Client
-               (Client_msg.Redirect
-                  {
-                    seq;
-                    leader = node.leader_hint;
-                    members = node.config;
-                    epoch = node.config_index;
-                  })))
+          redirect t node ~dst:src ~seq ~leader:node.leader_hint)
         reqs
 
   let rec node_handler t node (env : Raft_wire.t Network.envelope) =
@@ -850,17 +832,11 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
           | Some l when Node_id.equal l node.me -> None (* stale self-hint *)
           | other -> other
         in
-        let redirect seq =
-          Counters.incr t.counters "redirects";
-          Network.send t.net ~src:node.me ~dst:src
-            (Raft_wire.Client
-               (Client_msg.Redirect
-                  { seq; leader; members = node.config; epoch = node.config_index }))
-        in
         (match env.Network.payload with
-         | Raft_wire.Client (Client_msg.Request { seq; _ }) -> redirect seq
+         | Raft_wire.Client (Client_msg.Request { seq; _ }) ->
+           redirect t node ~dst:src ~seq ~leader
          | Raft_wire.Client (Client_msg.Request_batch { reqs; _ }) ->
-           List.iter (fun (seq, _) -> redirect seq) reqs
+           List.iter (fun (seq, _) -> redirect t node ~dst:src ~seq ~leader) reqs
          | _ -> ())
       | _ -> ()
     end

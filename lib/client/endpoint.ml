@@ -65,13 +65,6 @@ let target t =
   t.last_target <- Some chosen;
   chosen
 
-let cancel_timer t o =
-  match o.timer with
-  | Some timer ->
-    Engine.cancel t.engine timer;
-    o.timer <- None
-  | None -> ()
-
 let low_water t =
   Stable.fold_sorted ~compare:Int.compare
     (fun s _ acc -> min s acc)
@@ -81,7 +74,7 @@ let rec attempt t seq =
   match Hashtbl.find_opt t.pending seq with
   | None -> ()
   | Some o ->
-    cancel_timer t o;
+    o.timer <- Engine.cancel_slot t.engine o.timer;
     o.attempts <- o.attempts + 1;
     Counters.incr t.counters "sent";
     let low_water = low_water t in
@@ -142,7 +135,7 @@ let send_batch t seqs =
     List.iter
       (fun (seq, o) ->
         o.attempts <- o.attempts + 1;
-        cancel_timer t o;
+        o.timer <- Engine.cancel_slot t.engine o.timer;
         o.timer <-
           Some
             (Engine.schedule t.engine ~delay:t.req_timeout (fun () ->
@@ -192,7 +185,7 @@ let handle t msg =
   | Client_msg.Reply { seq; rsp } -> (
     match Hashtbl.find_opt t.pending seq with
     | Some o ->
-      cancel_timer t o;
+      o.timer <- Engine.cancel_slot t.engine o.timer;
       Hashtbl.remove t.pending seq;
       Counters.incr t.counters "replies";
       lifecycle t "replied" ~seq;
@@ -225,7 +218,7 @@ let handle t msg =
           otherwise each duplication round multiplies the request ×
           redirect ping-pong and the exchange goes supercritical. *)
        let jitter = 0.010 +. Rng.float t.rng 0.015 in
-       cancel_timer t o;
+       o.timer <- Engine.cancel_slot t.engine o.timer;
        o.timer <-
          Some (Engine.schedule t.engine ~delay:jitter (fun () -> attempt t seq))
      | None -> ())
@@ -257,10 +250,7 @@ let fingerprint t =
         (Client_msg.Request { seq; low_water = 0; payload = o.payload });
       W.varint w o.attempts;
       W.varint w o.redirects;
-      W.bool w
-        (match o.timer with
-         | Some tm -> Engine.is_pending tm
-         | None -> false))
+      W.bool w (Engine.slot_pending o.timer))
     (List.rev
        (Stable.fold_sorted ~compare:Int.compare
           (fun k v acc -> (k, v) :: acc)

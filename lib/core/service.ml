@@ -348,27 +348,13 @@ struct
       inst.retired <- true;
       (match inst.replica with Some r -> Replica.halt r | None -> ());
       if Option.is_some (sealed_snapshot inst) then inst.app <- Sm.init ();
-      (match inst.fetch_timer with
-       | Some timer ->
-         Engine.cancel t.engine timer;
-         inst.fetch_timer <- None
-       | None -> ());
-      (match inst.prepare_timer with
-       | Some timer ->
-         Engine.cancel t.engine timer;
-         inst.prepare_timer <- None
-       | None -> ())
+      inst.fetch_timer <- Engine.cancel_slot t.engine inst.fetch_timer;
+      inst.prepare_timer <- Engine.cancel_slot t.engine inst.prepare_timer
     end
 
-  let submit_envelope inst env =
-    match inst.replica with
-    | Some r when not (Replica.is_halted r) ->
-      Replica.submit r (Envelope.encode env)
-    | Some _ | None -> ()
-
-  (* Same, for envelopes we already hold in wire form: the whole list
-     reaches the block as one proposal batch (one broadcast when the block
-     leads), in list order. *)
+  (* Hand envelopes already in wire form to the instance's block: the
+     whole list reaches it as one proposal batch (one broadcast when the
+     block leads), in list order. *)
   let submit_raw_many inst values =
     match inst.replica with
     | Some r when not (Replica.is_halted r) -> (
@@ -384,6 +370,20 @@ struct
     match env with
     | Envelope.App { client; seq; _ } | Envelope.Reconfig { client; seq; _ } ->
       (client, seq)
+
+  (* A command's residual / ordered / applied event, emitted by the
+     instance's leader only. *)
+  let command_event t host inst ev ~idx env =
+    if Trace.active t.bus && is_inst_leader inst then begin
+      let client, seq = env_client_seq env in
+      lifecycle t ~node:host.me ev
+        [
+          ("client", string_of_int client);
+          ("seq", string_of_int seq);
+          ("epoch", string_of_int inst.epoch);
+          ("idx", string_of_int idx);
+        ]
+    end
 
   (* [value] is the envelope's wire bytes (what the block ordered); it is
      decoded exactly once here and threaded alongside [env] so the
@@ -405,16 +405,7 @@ struct
   and handle_residual t host inst idx env value =
     Counters.incr t.counters "residuals";
     incr inst.sc_residuals;
-    if Trace.active t.bus && is_inst_leader inst then begin
-      let client, seq = env_client_seq env in
-      lifecycle t ~node:host.me "residual"
-        [
-          ("client", string_of_int client);
-          ("seq", string_of_int seq);
-          ("epoch", string_of_int inst.epoch);
-          ("idx", string_of_int idx);
-        ]
-    end;
+    command_event t host inst "residual" ~idx env;
     (* Only the old instance's leader re-submits, to avoid an n-fold
        duplicate storm; session dedup makes any duplicates harmless.  If the
        leader does not itself host the next instance (disjoint
@@ -472,16 +463,7 @@ struct
       Fnv.combine_framed
         (Fnv.combine inst.applied_digest (string_of_int idx))
         value;
-    if Trace.active t.bus && is_inst_leader inst then begin
-      let client, seq = env_client_seq env in
-      lifecycle t ~node:host.me "ordered"
-        [
-          ("client", string_of_int client);
-          ("seq", string_of_int seq);
-          ("epoch", string_of_int inst.epoch);
-          ("idx", string_of_int idx);
-        ]
-    end;
+    command_event t host inst "ordered" ~idx env;
     match (env : Envelope.t) with
     | Envelope.App { client; seq; low_water; cmd } -> (
       match Session.check inst.sessions ~client ~seq with
@@ -496,14 +478,7 @@ struct
         Counters.incr t.counters "applied";
         incr inst.sc_applied;
         if is_inst_leader inst then begin
-          if Trace.active t.bus then
-            lifecycle t ~node:host.me "applied"
-              [
-                ("client", string_of_int client);
-                ("seq", string_of_int seq);
-                ("epoch", string_of_int inst.epoch);
-                ("idx", string_of_int idx);
-              ];
+          command_event t host inst "applied" ~idx env;
           reply_client t host ~client ~seq ~rsp
         end
       | `Dup rsp -> if is_inst_leader inst then reply_client t host ~client ~seq ~rsp
@@ -648,22 +623,14 @@ struct
        | Some cur when cur.provisional && cur.retired ->
          Hashtbl.remove host.instances inst.epoch
        | Some _ | None -> ());
-      (match inst.residual_timer with
-       | Some timer ->
-         Engine.cancel t.engine timer;
-         inst.residual_timer <- None
-       | None -> ())
+      inst.residual_timer <- Engine.cancel_slot t.engine inst.residual_timer
     end
 
   and confirm_provisional t host inst =
     if inst.provisional then begin
       inst.provisional <- false;
       Counters.incr t.counters "prepare_confirms";
-      (match inst.prepare_timer with
-       | Some timer ->
-         Engine.cancel t.engine timer;
-         inst.prepare_timer <- None
-       | None -> ());
+      inst.prepare_timer <- Engine.cancel_slot t.engine inst.prepare_timer;
       (* The configuration is authoritative now: advertise it for
          redirects, exactly as a wedge-time bootstrap would have. *)
       if inst.epoch > host.top_epoch then begin
@@ -855,11 +822,7 @@ struct
               ("strategy", t.opts.Options.strategy.Rsmr_iface.Reconfig_strategy.name);
             ]
           "activated";
-      (match inst.fetch_timer with
-       | Some timer ->
-         Engine.cancel t.engine timer;
-         inst.fetch_timer <- None
-       | None -> ());
+      inst.fetch_timer <- Engine.cancel_slot t.engine inst.fetch_timer;
       if inst.replica = None then start_replica t host inst;
       (* Execute everything the speculative instance ordered while the
          snapshot was in flight, in log order.  Sort by slot index only:
@@ -978,114 +941,81 @@ struct
       (fun e inst -> if e < epoch then retire_instance t inst)
       host.instances
 
-  let handle_request t host ~src ~seq ~low_water ~payload =
-    Counters.incr t.counters "requests";
-    (* Provisional (early-prepared) instances never serve clients: until
-       a wedge-time bootstrap confirms them they are not part of the
-       committed configuration sequence. *)
-    let current =
-      newest_instance host ~pred:(fun i ->
-          i.replica <> None && (not i.retired) && not i.provisional)
-    in
-    let redirect () =
-      Counters.incr t.counters "redirects";
-      let leader =
-        match current with
-        | Some inst when inst.wedged_at = None -> (
-          match inst.replica with
-          | Some r -> Replica.leader_hint r
-          | None -> None)
-        | Some _ | None -> None
-      in
-      send t ~src:host.me ~dst:src
-        (Wire.Client
-           (Client_msg.Redirect
-              { seq; leader; members = host.latest_members; epoch = host.top_epoch }))
-    in
-    match current with
-    | Some inst when is_inst_leader inst && inst.wedged_at = None -> (
-      (* Fast-path dedup only once sessions are installed; ordering a
-         duplicate before that is harmless. *)
-      let dup =
-        if inst.activated then
-          match Session.check inst.sessions ~client:src ~seq with
-          | `Dup rsp -> Some rsp
-          | `New | `Stale -> None
-        else None
-      in
-      match dup with
-      | Some rsp -> reply_client t host ~client:src ~seq ~rsp
-      | None ->
-        let env =
-          match (payload : Client_msg.payload) with
-          | Client_msg.Cmd cmd ->
-            Envelope.App { client = src; seq; low_water; cmd }
-          | Client_msg.Change_membership members ->
-            maybe_prepare t host inst members;
-            Envelope.Reconfig { client = src; seq; members }
-        in
-        submit_envelope inst env)
-    | Some _ | None -> redirect ()
+  (* --- client admission --- *)
 
-  (* A coalesced client window: per-request dedup/reply semantics are those
-     of [handle_request], but every non-duplicate command reaches the block
-     as one vector submission (one proposal batch, one broadcast). *)
+  (* The instance that takes client traffic on [host].  Provisional
+     (early-prepared) instances never serve clients: until a wedge-time
+     bootstrap confirms them they are not part of the committed
+     configuration sequence. *)
+  let serving host =
+    newest_instance host ~pred:(fun i ->
+        i.replica <> None && (not i.retired) && not i.provisional)
+
+  (* Count the request and point the client at the serving instance's
+     leader hint, or at the newest configuration this host knows. *)
+  let redirect t host current ~dst ~seq =
+    Counters.incr t.counters "requests";
+    Counters.incr t.counters "redirects";
+    let leader =
+      match current with
+      | Some { wedged_at = None; replica = Some r; _ } -> Replica.leader_hint r
+      | Some _ | None -> None
+    in
+    send t ~src:host.me ~dst
+      (Wire.Client
+         (Client_msg.Redirect
+            { seq; leader; members = host.latest_members; epoch = host.top_epoch }))
+
+  (* One request at the serving leader of an unwedged epoch: a duplicate
+     is answered from the session table, anything else comes back as the
+     envelope bytes to order.  Fast-path dedup only once sessions are
+     installed; ordering a duplicate before that is harmless. *)
+  let admit t host inst ~src ~low_water ~seq ~payload =
+    Counters.incr t.counters "requests";
+    let dup =
+      if inst.activated then
+        match Session.check inst.sessions ~client:src ~seq with
+        | `Dup rsp -> Some rsp
+        | `New | `Stale -> None
+      else None
+    in
+    match dup with
+    | Some rsp ->
+      reply_client t host ~client:src ~seq ~rsp;
+      None
+    | None ->
+      let env =
+        match (payload : Client_msg.payload) with
+        | Client_msg.Cmd cmd -> Envelope.App { client = src; seq; low_water; cmd }
+        | Client_msg.Change_membership members ->
+          maybe_prepare t host inst members;
+          Envelope.Reconfig { client = src; seq; members }
+      in
+      Some (Envelope.encode env)
+
+  let handle_request t host ~src ~seq ~low_water ~payload =
+    match serving host with
+    | Some ({ replica = Some r; wedged_at = None; _ } as inst)
+      when Replica.is_leader r -> (
+      match admit t host inst ~src ~low_water ~seq ~payload with
+      | Some value -> Replica.submit r value
+      | None -> ())
+    | current -> redirect t host current ~dst:src ~seq
+
+  (* A coalesced client window: every non-duplicate command reaches the
+     block as one vector submission (one proposal batch, one
+     broadcast). *)
   let handle_request_batch t host ~src ~low_water ~reqs =
-    let current =
-      newest_instance host ~pred:(fun i ->
-          i.replica <> None && (not i.retired) && not i.provisional)
-    in
-    let redirect seq =
-      Counters.incr t.counters "redirects";
-      let leader =
-        match current with
-        | Some inst when inst.wedged_at = None -> (
-          match inst.replica with
-          | Some r -> Replica.leader_hint r
-          | None -> None)
-        | Some _ | None -> None
-      in
-      send t ~src:host.me ~dst:src
-        (Wire.Client
-           (Client_msg.Redirect
-              { seq; leader; members = host.latest_members; epoch = host.top_epoch }))
-    in
-    match current with
-    | Some inst when is_inst_leader inst && inst.wedged_at = None ->
-      let envs =
-        List.filter_map
-          (fun (seq, payload) ->
-            Counters.incr t.counters "requests";
-            let dup =
-              if inst.activated then
-                match Session.check inst.sessions ~client:src ~seq with
-                | `Dup rsp -> Some rsp
-                | `New | `Stale -> None
-              else None
-            in
-            match dup with
-            | Some rsp ->
-              reply_client t host ~client:src ~seq ~rsp;
-              None
-            | None ->
-              let env =
-                match (payload : Client_msg.payload) with
-                | Client_msg.Cmd cmd ->
-                  Envelope.App { client = src; seq; low_water; cmd }
-                | Client_msg.Change_membership members ->
-                  maybe_prepare t host inst members;
-                  Envelope.Reconfig { client = src; seq; members }
-              in
-              Some (Envelope.encode env))
-          reqs
-      in
-      submit_raw_many inst envs
-    | Some _ | None ->
-      List.iter
-        (fun (seq, _) ->
-          Counters.incr t.counters "requests";
-          redirect seq)
-        reqs
+    match serving host with
+    | Some ({ replica = Some r; wedged_at = None; _ } as inst)
+      when Replica.is_leader r ->
+      submit_raw_many inst
+        (List.filter_map
+           (fun (seq, payload) ->
+             admit t host inst ~src ~low_water ~seq ~payload)
+           reqs)
+    | current ->
+      List.iter (fun (seq, _) -> redirect t host current ~dst:src ~seq) reqs
 
   let host_handler t host (env : Wire.t Network.envelope) =
     let src = env.Network.src in
@@ -1185,9 +1115,6 @@ struct
     let module W = Rsmr_app.Codec.Writer in
     let w = W.create ~size_hint:4096 () in
     let node w n = W.varint w (n : Node_id.t) in
-    let pending_timer slot =
-      match slot with Some tm -> Engine.is_pending tm | None -> false
-    in
     let encode_instance inst =
       W.varint w inst.epoch;
       W.list w node inst.cfg.Config.members;
@@ -1204,20 +1131,20 @@ struct
           W.string w v)
         inst.spec_buf;
       W.list w W.string (List.rev inst.residual_buf);
-      W.bool w (pending_timer inst.residual_timer);
+      W.bool w (Engine.slot_pending inst.residual_timer);
       W.varint w inst.chunks_total;
       for i = 0 to inst.chunks_total - 1 do
         W.bool w
           (inst.chunks_got = inst.chunks_total || Int_map.mem i inst.chunks)
       done;
-      W.bool w (pending_timer inst.fetch_timer);
+      W.bool w (Engine.slot_pending inst.fetch_timer);
       W.varint w inst.fetch_rr;
       W.bool w inst.announced;
       W.bool w inst.retired;
       (* Early-prepare fields: constant (false, false) under the default
          [composed] strategy, so its reachable-state COUNT is untouched. *)
       W.bool w inst.provisional;
-      W.bool w (pending_timer inst.prepare_timer);
+      W.bool w (Engine.slot_pending inst.prepare_timer);
       W.string w (inst_app_bytes inst);
       W.string w (Session.encode inst.sessions);
       W.option w W.string (Option.map Replica.fingerprint inst.replica)

@@ -58,13 +58,11 @@ let workload_start = 0.2
 let quiesce_grace = 30.0
 let settle_grace = 10.0
 
-(* Uniform face over the three stacks: the cluster interface carries
-   submit/reconfigure/crash/recover, everything else (partitions, link
+(* Uniform face over the stacks: the cluster's control surface carries
+   crash/recover/partition/heal/reconfigure, everything else (link
    faults, storm dials, state introspection) goes through these hooks. *)
 type stack = {
   cluster : Cluster.t;
-  partition : int list list -> unit;
-  net_heal : unit -> unit;
   set_link : src:int -> dst:int -> drop:float -> unit;
   clear_links : unit -> unit;
   set_duplicate : float -> unit;
@@ -75,6 +73,24 @@ type stack = {
   service_ids : int list;  (* directory + admin client *)
 }
 
+(* The network dials are the same for every stack, whatever its wire
+   type.  The admin client id is allocated right above the directory id
+   (Service.create's documented convention, shared by Raft). *)
+let stack_on (net : 'm Network.t) ~cluster ~dir ~snapshot_of ~stats_of
+    ~svc_counters =
+  {
+    cluster;
+    set_link =
+      (fun ~src ~dst ~drop -> Network.set_link_fault net ~src ~dst ~drop);
+    clear_links = (fun () -> Network.clear_link_faults net);
+    set_duplicate = (fun p -> Network.set_duplicate net p);
+    set_drop = (fun p -> Network.set_drop net p);
+    snapshot_of;
+    stats_of;
+    svc_counters;
+    service_ids = [ dir; dir + 1 ];
+  }
+
 let make_stack engine (proto : proto) (sc : Scenario.t) =
   match proto.Strategy.driver with
   | `Composition ->
@@ -83,48 +99,24 @@ let make_stack engine (proto : proto) (sc : Scenario.t) =
       MixedCore.create ~engine ~options ~universe:sc.Scenario.universe
         ~members:sc.Scenario.members ()
     in
-    let net = MixedCore.net svc in
-    let dir = MixedCore.directory_id svc in
-    {
-      cluster =
-        { (MixedCore.cluster svc) with Cluster.name = proto_name proto };
-      partition = (fun groups -> Network.partition net groups);
-      net_heal = (fun () -> Network.heal net);
-      set_link =
-        (fun ~src ~dst ~drop -> Network.set_link_fault net ~src ~dst ~drop);
-      clear_links = (fun () -> Network.clear_link_faults net);
-      set_duplicate = (fun p -> Network.set_duplicate net p);
-      set_drop = (fun p -> Network.set_drop net p);
-      snapshot_of =
-        (fun n -> Option.map Mixed.snapshot (MixedCore.app_state svc n));
-      stats_of = (fun n -> MixedCore.epoch_stats svc n);
-      svc_counters = MixedCore.counters svc;
-      (* The admin client id is allocated right above the directory id
-         (Service.create's documented convention, shared by Raft). *)
-      service_ids = [ dir; dir + 1 ];
-    }
+    stack_on (MixedCore.net svc)
+      ~cluster:{ (MixedCore.cluster svc) with Cluster.name = proto_name proto }
+      ~dir:(MixedCore.directory_id svc)
+      ~snapshot_of:(fun n ->
+        Option.map Mixed.snapshot (MixedCore.app_state svc n))
+      ~stats_of:(fun n -> MixedCore.epoch_stats svc n)
+      ~svc_counters:(MixedCore.counters svc)
   | `Native ->
     let svc =
       MixedRaft.create ~engine ~universe:sc.Scenario.universe
         ~members:sc.Scenario.members ()
     in
-    let net = MixedRaft.net svc in
-    let dir = MixedRaft.directory_id svc in
-    {
-      cluster = MixedRaft.cluster svc;
-      partition = (fun groups -> Network.partition net groups);
-      net_heal = (fun () -> Network.heal net);
-      set_link =
-        (fun ~src ~dst ~drop -> Network.set_link_fault net ~src ~dst ~drop);
-      clear_links = (fun () -> Network.clear_link_faults net);
-      set_duplicate = (fun p -> Network.set_duplicate net p);
-      set_drop = (fun p -> Network.set_drop net p);
-      snapshot_of =
-        (fun n -> Option.map Mixed.snapshot (MixedRaft.app_state svc n));
-      stats_of = (fun _ -> []);
-      svc_counters = MixedRaft.counters svc;
-      service_ids = [ dir; dir + 1 ];
-    }
+    stack_on (MixedRaft.net svc) ~cluster:(MixedRaft.cluster svc)
+      ~dir:(MixedRaft.directory_id svc)
+      ~snapshot_of:(fun n ->
+        Option.map Mixed.snapshot (MixedRaft.app_state svc n))
+      ~stats_of:(fun _ -> [])
+      ~svc_counters:(MixedRaft.counters svc)
 
 (* Scenario partitions name replica-side groups only; clients, directory
    and admin ride along in every group so the workload keeps flowing to
@@ -135,8 +127,9 @@ let apply_fault stack ~non_replica fault =
   | Scenario.Crash n -> Rsmr_iface.Overlay.crash control n
   | Scenario.Recover n -> Rsmr_iface.Overlay.recover control n
   | Scenario.Partition groups ->
-    stack.partition (List.map (fun g -> g @ non_replica) groups)
-  | Scenario.Heal -> stack.net_heal ()
+    control.Rsmr_iface.Overlay.fault
+      (Rsmr_iface.Overlay.Partition (List.map (fun g -> g @ non_replica) groups))
+  | Scenario.Heal -> Rsmr_iface.Overlay.heal control
   | Scenario.Link_fault { src; dst; drop } -> stack.set_link ~src ~dst ~drop
   | Scenario.Clear_links -> stack.clear_links ()
   | Scenario.Duplicate p -> stack.set_duplicate p
@@ -187,7 +180,7 @@ let run proto (sc : Scenario.t) =
      oracles judge a settled system. *)
   ignore
     (Engine.at engine ~time:t_end (fun () ->
-         stack.net_heal ();
+         Rsmr_iface.Overlay.heal stack.cluster.Cluster.control;
          stack.clear_links ();
          stack.set_duplicate 0.0;
          stack.set_drop 0.0;

@@ -33,7 +33,8 @@ let all_protos =
 (* Ablations are anonymous strategy records: the composed stages with one
    dial flipped — exactly what the strategy API is for. *)
 let strategy_of = function
-  | Core | Core_vr | Raft -> Strategy.composed
+  | Core | Core_vr -> Strategy.composed
+  | Raft -> Strategy.raft
   | Matchmaker -> Strategy.matchmaker
   | Core_nospec ->
     { Strategy.composed with
@@ -66,8 +67,7 @@ let make ?(seed = 1) ?latency ?drop ?bandwidth ?(chunk_size = 64 * 1024) proto
   match proto with
   | Core | Matchmaker | Core_nospec | Core_noresidual | Stopworld ->
     (* Stopworld is the core composition with both overlap optimizations
-       disabled (same semantics as Rsmr_baselines.Stop_the_world, built
-       directly so leader/state introspection stays available). *)
+       disabled: only its strategy value differs. *)
     let svc =
       KvCore.create ~engine ?latency ?drop ?bandwidth
         ~options:(core_options proto chunk_size) ~universe ~members ()

@@ -18,8 +18,8 @@ val all_protos : proto list
 val strategy_of : proto -> Rsmr_iface.Reconfig_strategy.t
 (** The {!Rsmr_iface.Reconfig_strategy} the proto selects.  Ablation
     protos map to anonymous strategy records (the composed stages with
-    one dial flipped); [Raft] maps to the composed default — its native
-    stack ignores strategy options. *)
+    one dial flipped); [Raft] maps to {!Rsmr_iface.Reconfig_strategy.raft},
+    the native stack's own entry. *)
 
 type setup = {
   engine : Rsmr_sim.Engine.t;

@@ -19,12 +19,7 @@ type ('o, 'a) t = {
 let create engine ~delay ~max sink =
   { engine; delay; max; sink; buf = []; len = 0; timer = None }
 
-let cancel b =
-  match b.timer with
-  | Some timer ->
-    Engine.cancel b.engine timer;
-    b.timer <- None
-  | None -> ()
+let cancel b = b.timer <- Engine.cancel_slot b.engine b.timer
 
 let rec firstn n = function
   | x :: tl when n > 0 -> x :: firstn (n - 1) tl
@@ -101,5 +96,5 @@ let fingerprint w b ~order item =
   (match order with
    | `Newest_first -> write_fwd w item b.buf
    | `Oldest_first -> write_rev w item b.buf);
-  W.bool w (match b.timer with Some tm -> Engine.is_pending tm | None -> false)
+  W.bool w (Engine.slot_pending b.timer)
 [@@rsmr.codec.oneway]

@@ -63,6 +63,14 @@ let cancel t timer =
 
 let is_pending timer = timer.state = Pending
 
+let cancel_slot t = function
+  | Some timer ->
+    cancel t timer;
+    None
+  | None -> None
+
+let slot_pending = function Some timer -> is_pending timer | None -> false
+
 let timer_state timer =
   match timer.state with
   | Pending -> `Pending

@@ -56,6 +56,19 @@ val cancel : t -> timer -> unit
 
 val is_pending : timer -> bool
 
+(** {2 Timer slots}
+
+    Protocol state keeps each timer in a [timer option] field: [None]
+    while nothing is armed. *)
+
+val cancel_slot : t -> timer option -> timer option
+(** Cancel the slot's timer, if any, and return [None] — the value to
+    store back: [slot <- cancel_slot t slot]. *)
+
+val slot_pending : timer option -> bool
+(** The slot holds a pending timer.  Fingerprints record this presence
+    bit, never the due-time. *)
+
 val timer_state : timer -> [ `Pending | `Fired | `Cancelled ]
 (** Observable lifecycle state, mainly for tests and the checker's
     enabled-set bookkeeping. *)

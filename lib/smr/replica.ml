@@ -90,13 +90,6 @@ let config t = t.cfg
 let me t = t.me
 let is_halted t = t.halted
 
-let cancel_timer t slot =
-  match slot with
-  | Some timer ->
-    Engine.cancel t.engine timer;
-    None
-  | None -> None
-
 (* Same message to every other member: hand the whole fan-out to the
    transport when it gave us a broadcast hook (it then encodes the
    payload exactly once), else fall back to per-destination sends. *)
@@ -174,7 +167,7 @@ let note_commit_info t ~ballot ~commit_index =
 (* --- timers --- *)
 
 let rec reset_election_timer t =
-  t.election_timer <- cancel_timer t t.election_timer;
+  t.election_timer <- Engine.cancel_slot t.engine t.election_timer;
   if not t.halted then begin
     let delay =
       Rng.uniform_in t.rng t.params.Params.election_timeout_min
@@ -242,7 +235,7 @@ and become_leader t cand =
            { ballot; index = i; kind; commit_index = Log.committed_prefix t.log })
     end
   done;
-  t.election_timer <- cancel_timer t t.election_timer;
+  t.election_timer <- Engine.cancel_slot t.engine t.election_timer;
   start_heartbeat t;
   start_resend t;
   maybe_commit_solo t lead;
@@ -261,7 +254,7 @@ and maybe_commit_solo t lead =
   end
 
 and start_heartbeat t =
-  t.hb_timer <- cancel_timer t t.hb_timer;
+  t.hb_timer <- Engine.cancel_slot t.engine t.hb_timer;
   let rec tick () =
     match t.role with
     | R_leader lead when not t.halted ->
@@ -275,7 +268,7 @@ and start_heartbeat t =
   tick ()
 
 and start_resend t =
-  t.resend_timer <- cancel_timer t t.resend_timer;
+  t.resend_timer <- Engine.cancel_slot t.engine t.resend_timer;
   let rec tick () =
     match t.role with
     | R_leader lead when not t.halted ->
@@ -426,8 +419,8 @@ let step_down t ~higher =
   (match t.role with
    | R_leader _ | R_candidate _ ->
      trace t "stepping down (higher ballot %a)" Ballot.pp higher;
-     t.hb_timer <- cancel_timer t t.hb_timer;
-     t.resend_timer <- cancel_timer t t.resend_timer;
+     t.hb_timer <- Engine.cancel_slot t.engine t.hb_timer;
+     t.resend_timer <- Engine.cancel_slot t.engine t.resend_timer;
      (* Unproposed batched values go back to pending so they get forwarded
         to whoever wins. *)
      List.iter (fun v -> Queue.push v t.pending) (Batcher.park t.batch);
@@ -660,9 +653,9 @@ let handle t ~src msg =
 let halt t =
   if not t.halted then begin
     t.halted <- true;
-    t.election_timer <- cancel_timer t t.election_timer;
-    t.hb_timer <- cancel_timer t t.hb_timer;
-    t.resend_timer <- cancel_timer t t.resend_timer;
+    t.election_timer <- Engine.cancel_slot t.engine t.election_timer;
+    t.hb_timer <- Engine.cancel_slot t.engine t.hb_timer;
+    t.resend_timer <- Engine.cancel_slot t.engine t.resend_timer;
     Batcher.cancel t.batch
   end
 
@@ -736,9 +729,6 @@ let fingerprint t =
     Ballot.encode w e.Log.ballot;
     Log.encode_kind w e.Log.kind
   in
-  let pending_timer slot =
-    match slot with Some tm -> Engine.is_pending tm | None -> false
-  in
   Ballot.encode w t.promised;
   (match t.role with
    | R_follower -> W.u8 w 0
@@ -774,9 +764,9 @@ let fingerprint t =
   W.list w W.string
     (List.rev (Queue.fold (fun acc v -> v :: acc) [] t.pending));
   Batcher.fingerprint w t.batch ~order:`Newest_first W.string;
-  W.bool w (pending_timer t.election_timer);
-  W.bool w (pending_timer t.hb_timer);
-  W.bool w (pending_timer t.resend_timer);
+  W.bool w (Engine.slot_pending t.election_timer);
+  W.bool w (Engine.slot_pending t.hb_timer);
+  W.bool w (Engine.slot_pending t.resend_timer);
   W.bool w t.learn_inflight;
   W.bool w t.halted;
   W.varint w (Log.length t.log);

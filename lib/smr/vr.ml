@@ -269,13 +269,6 @@ let execute t =
     t.executed <- t.executed + 1
   done
 
-let cancel t slot =
-  match slot with
-  | Some timer ->
-    Engine.cancel t.engine timer;
-    None
-  | None -> None
-
 (* Same message to every other member: hand the whole fan-out to the
    transport when it gave us a broadcast hook (it then encodes the
    payload exactly once), else fall back to per-destination sends. *)
@@ -295,7 +288,7 @@ let park_batch t =
 (* --- timers --- *)
 
 let rec reset_view_timer t =
-  t.view_timer <- cancel t t.view_timer;
+  t.view_timer <- Engine.cancel_slot t.engine t.view_timer;
   if not t.halted then begin
     let delay =
       Rng.uniform_in t.rng t.params.Params.election_timeout_min
@@ -459,7 +452,7 @@ and drain_pending t =
   end
 
 and start_heartbeat t =
-  t.hb_timer <- cancel t t.hb_timer;
+  t.hb_timer <- Engine.cancel_slot t.engine t.hb_timer;
   let rec tick () =
     if is_leader t then begin
       broadcast t (Msg.Commit { view = t.view; commit = t.commit });
@@ -471,7 +464,7 @@ and start_heartbeat t =
     Some (Engine.schedule t.engine ~delay:t.params.Params.heartbeat_interval tick)
 
 and start_resend t =
-  t.resend_timer <- cancel t t.resend_timer;
+  t.resend_timer <- Engine.cancel_slot t.engine t.resend_timer;
   let rec tick () =
     if is_leader t then begin
       (* Re-prepare the uncommitted suffix (lost Prepares / PrepareOKs) as
@@ -712,9 +705,9 @@ let handle t ~src msg =
 let halt t =
   if not t.halted then begin
     t.halted <- true;
-    t.view_timer <- cancel t t.view_timer;
-    t.hb_timer <- cancel t t.hb_timer;
-    t.resend_timer <- cancel t t.resend_timer;
+    t.view_timer <- Engine.cancel_slot t.engine t.view_timer;
+    t.hb_timer <- Engine.cancel_slot t.engine t.hb_timer;
+    t.resend_timer <- Engine.cancel_slot t.engine t.resend_timer;
     Batcher.cancel t.batch
   end
 
@@ -774,9 +767,6 @@ let fingerprint t =
   let w = W.create ~size_hint:256 () in
   let node w n = W.varint w (n : Node_id.t) in
   let node_set w s = W.list w node (Node_id.Set.elements s) in
-  let pending_timer slot =
-    match slot with Some tm -> Engine.is_pending tm | None -> false
-  in
   W.varint w t.view;
   (match t.status with
    | Normal -> W.u8 w 0
@@ -805,9 +795,9 @@ let fingerprint t =
   W.list w W.string
     (List.rev (Queue.fold (fun acc v -> v :: acc) [] t.pending));
   Batcher.fingerprint w t.batch ~order:`Newest_first W.string;
-  W.bool w (pending_timer t.view_timer);
-  W.bool w (pending_timer t.hb_timer);
-  W.bool w (pending_timer t.resend_timer);
+  W.bool w (Engine.slot_pending t.view_timer);
+  W.bool w (Engine.slot_pending t.hb_timer);
+  W.bool w (Engine.slot_pending t.resend_timer);
   W.bool w t.halted;
   W.contents w
 [@@rsmr.codec.oneway]

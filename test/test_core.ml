@@ -576,6 +576,47 @@ let test_duplicate_request_fast_path () =
   Alcotest.(check int) "not re-applied" applied_before
     (Counters.get (KvService.counters h.svc) "applied")
 
+(* A [Request] and a one-element [Request_batch] for the same command
+   take the same admission path: two identical services, one sent each
+   form, end in the same state with the same service counters.  Sent to
+   the leader the command is ordered; sent to a follower it is
+   redirected. *)
+let single_request_is_one_element_batch ~to_leader () =
+  let cmd = Kv.encode_command (Kv.Put ("k", "v")) in
+  let payload = Rsmr_client.Client_msg.Cmd cmd in
+  let run msg =
+    let h = kv_harness ~members:[ 0; 1; 2 ] ~clients:[ c1 ] () in
+    run_until h ~deadline:5.0 (fun () ->
+        Option.is_some (KvService.current_leader h.svc));
+    let dst =
+      match KvService.current_leader h.svc with
+      | Some l when to_leader -> l
+      | Some l -> (l + 1) mod 3
+      | None -> Alcotest.fail "no leader"
+    in
+    Network.send (KvService.net h.svc) ~src:c1 ~dst (Wire.Client msg);
+    Engine.run ~until:(Engine.now h.engine +. 2.0) h.engine;
+    ( KvService.canonical_state h.svc,
+      Counters.to_list (KvService.counters h.svc) )
+  in
+  let state_a, counters_a =
+    run (Rsmr_client.Client_msg.Request { seq = 1; low_water = 1; payload })
+  in
+  let state_b, counters_b =
+    run
+      (Rsmr_client.Client_msg.Request_batch
+         { low_water = 1; reqs = [ (1, payload) ] })
+  in
+  let counter name = Option.value ~default:0 (List.assoc_opt name counters_a) in
+  Alcotest.(check int) "one request" 1 (counter "requests");
+  Alcotest.(check int)
+    "answered by the leader, redirected by a follower"
+    1
+    (counter (if to_leader then "replies" else "redirects"));
+  Alcotest.(check (list (pair string int))) "svc counters equal" counters_a
+    counters_b;
+  Alcotest.(check bool) "canonical state equal" true (state_a = state_b)
+
 let test_session_gc_bounds_snapshot () =
   (* A long single-client run must not grow the replicated session table:
      the piggybacked watermark trims it to the in-flight window. *)
@@ -911,6 +952,10 @@ let () =
             test_rapid_double_reconfigure;
           Alcotest.test_case "duplicate request fast path" `Quick
             test_duplicate_request_fast_path;
+          Alcotest.test_case "single request = 1-batch (leader)" `Quick
+            (single_request_is_one_element_batch ~to_leader:true);
+          Alcotest.test_case "single request = 1-batch (follower)" `Quick
+            (single_request_is_one_element_batch ~to_leader:false);
           Alcotest.test_case "session gc bounds table" `Quick
             test_session_gc_bounds_snapshot;
           Alcotest.test_case "deterministic replay" `Quick
