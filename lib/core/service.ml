@@ -60,6 +60,9 @@ module type S = sig
   val live_instances : t -> Rsmr_net.Node_id.t -> int
   val current_leader : t -> Rsmr_net.Node_id.t option
   val epoch_stats : t -> Rsmr_net.Node_id.t -> epoch_stat list
+
+  val iter_applied :
+    t -> Rsmr_net.Node_id.t -> (int -> int -> int64 -> unit) -> unit
 end
 
 module Int_map = Map.Make (Int)
@@ -268,6 +271,16 @@ struct
              }
              :: acc)
            host.instances [])
+
+  let iter_applied t node f =
+    match Hashtbl.find_opt t.hosts node with
+    | None -> ()
+    | Some host ->
+      for epoch = 0 to host.top_epoch do
+        match Hashtbl.find_opt host.instances epoch with
+        | Some inst -> f epoch inst.applied_hi inst.applied_digest
+        | None -> ()
+      done
 
   let current_leader t =
     Stable.fold_sorted ~compare:Node_id.compare

@@ -147,6 +147,15 @@ module type S = sig
   val epoch_stats : t -> Rsmr_net.Node_id.t -> epoch_stat list
   (** Audit records for every instance the node hosts, oldest epoch
       first; empty for nodes that host none. *)
+
+  val iter_applied :
+    t -> Rsmr_net.Node_id.t -> (int -> int -> int64 -> unit) -> unit
+  (** [iter_applied t node f] calls [f epoch applied_hi digest] — the
+      [es_epoch], [es_applied_hi] and [es_digest] of {!epoch_stats} —
+      for every instance the node hosts, oldest epoch first, without
+      building the records.  Instances above the node's newest
+      committed epoch are provisional and have applied nothing
+      ([applied_hi = -1]); they are not visited. *)
 end
 
 module Make_on (_ : Rsmr_smr.Block_intf.S) (Sm : Rsmr_app.State_machine.S) :

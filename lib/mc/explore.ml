@@ -9,6 +9,7 @@ type stats = {
   visited : int;
   transitions : int;
   max_depth : int;
+  depth_bound_hit : bool;
   exhausted : bool;
   violation : (string * Choice.t list) option;
   coverage : Harness.coverage;
@@ -26,7 +27,7 @@ let run ~proto ~scope ~mutate ~strategy ?max_states ?frontier_dir
   let violation = ref None in
   let coverage = ref Harness.coverage_empty in
   let capped = ref false in
-  let depth_pruned = ref false in
+  let depth_bound_hit = ref false in
   let replay trace = Harness.replay ~proto ~scope ~mutate trace in
   let note_state fp depth =
     if Hashtbl.mem visited fp then false
@@ -51,7 +52,7 @@ let run ~proto ~scope ~mutate ~strategy ?max_states ?frontier_dir
   let expand trace =
     let depth = List.length trace in
     if depth >= scope.Scope.depth then begin
-      depth_pruned := true;
+      depth_bound_hit := true;
       []
     end
     else begin
@@ -154,6 +155,7 @@ let run ~proto ~scope ~mutate ~strategy ?max_states ?frontier_dir
     visited = !n_visited;
     transitions = !n_trans;
     max_depth = !max_depth;
+    depth_bound_hit = !depth_bound_hit;
     (* exhausted means "every reachable state in scope was expanded":
        never true once the state cap cut exploration short.  Pruning at
        the depth bound is part of the scope's definition, so it does
@@ -162,6 +164,8 @@ let run ~proto ~scope ~mutate ~strategy ?max_states ?frontier_dir
     violation = !violation;
     coverage = !coverage;
   }
+
+type replay_end = Clean | Violated | Diverged
 
 let render_counterexample ~proto ~scope ~mutate trace =
   let b = Buffer.create 1024 in
@@ -174,26 +178,38 @@ let render_counterexample ~proto ~scope ~mutate trace =
   let h = Harness.create ~proto ~scope ~mutate () in
   let indent s = "    " ^ String.concat "\n    " (String.split_on_char '\n' s) in
   Buffer.add_string b ("  initial state:\n" ^ indent (Harness.summary h) ^ "\n");
-  (try
-     List.iteri
-       (fun i c ->
-         Harness.apply h c;
-         Buffer.add_string b (Format.asprintf "  step %d: %a\n" (i + 1) Choice.pp c);
-         Buffer.add_string b (indent (Harness.summary h) ^ "\n"))
-       trace
-   with Harness.Divergent c ->
+  let ending =
+    match
+      List.iteri
+        (fun i c ->
+          Harness.apply h c;
+          Buffer.add_string b (Format.asprintf "  step %d: %a\n" (i + 1) Choice.pp c);
+          Buffer.add_string b (indent (Harness.summary h) ^ "\n"))
+        trace
+    with
+    | exception Harness.Divergent c ->
+      Buffer.add_string b
+        (Format.asprintf "  REPLAY DIVERGED at %a — trace does not match this \
+                          proto/scope/mutation\n"
+           Choice.pp c);
+      Diverged
+    | () -> (
+      match Harness.violation h with
+      | Some v ->
+        Buffer.add_string b ("violated: " ^ v ^ "\n");
+        Violated
+      | None ->
+        Buffer.add_string b "no violation at end of trace\n";
+        Clean)
+  in
+  (match ending with
+   | Diverged -> ()
+   | Clean | Violated ->
      Buffer.add_string b
-       (Format.asprintf "  REPLAY DIVERGED at %a — trace does not match this \
-                         proto/scope/mutation\n"
-          Choice.pp c));
-  (match Harness.violation h with
-   | Some v -> Buffer.add_string b ("violated: " ^ v ^ "\n")
-   | None -> Buffer.add_string b "no violation at end of trace\n");
-  Buffer.add_string b
-    (Printf.sprintf
-       "reproduce: mc_main.exe --proto %s --scope %s%s --replay '%s'\n"
-       (Harness.proto_to_string proto)
-       (Scope.to_string scope)
-       (if mutate then " --mutate" else "")
-       (Choice.seq_to_string trace));
-  Buffer.contents b
+       (Printf.sprintf
+          "reproduce: mc_main.exe --proto %s --scope %s%s --replay '%s'\n"
+          (Harness.proto_to_string proto)
+          (Scope.to_string scope)
+          (if mutate then " --mutate" else "")
+          (Choice.seq_to_string trace)));
+  (Buffer.contents b, ending)

@@ -1,6 +1,6 @@
 (** The exhaustive explorer: enumerate every state the composition can
     reach inside a {!Scope}, checking every safety property at every
-    state.
+    state — once, by the {!Harness.apply} that first reaches it.
 
     States are identified by {!Harness.fingerprint} and reached by
     replaying their choice trace from scratch (see {!Harness}); the
@@ -18,6 +18,9 @@ type stats = {
   visited : int;  (** distinct states (fingerprints) discovered *)
   transitions : int;  (** choices executed across all expansions *)
   max_depth : int;  (** longest trace of any discovered state *)
+  depth_bound_hit : bool;
+      (** some state sat at the scope's depth bound and was not
+          expanded: the bound cut exploration *)
   exhausted : bool;
       (** true iff exploration ran out of new states with no violation
           and without hitting [max_states]; pruning at the scope's depth
@@ -46,12 +49,19 @@ val run :
     [layer_NNN.frontier], one ';'-joined choice trace per line.
     [on_progress] is invoked every 500 new states. *)
 
+type replay_end =
+  | Clean  (** the whole trace applied and no property failed *)
+  | Violated  (** the whole trace applied and ends in a violation *)
+  | Diverged  (** some choice was not enabled where the trace put it *)
+
 val render_counterexample :
   proto:Harness.proto ->
   scope:Scope.t ->
   mutate:bool ->
   Choice.t list ->
-  string
+  string * replay_end
 (** Replay a violating trace step by step into a human-readable report:
     each choice, the state summary after it, the violated property, and
-    a copy-pasteable [mc_main] reproducer line. *)
+    a copy-pasteable [mc_main] reproducer line.  A trace that diverges
+    gets no verdict and no reproducer line: the report stops at the
+    choice that did not apply. *)

@@ -53,6 +53,7 @@ type t = {
 }
 
 let violation t = t.violation
+let witnesses t = Hashtbl.length t.witness
 let scope t = t.scope
 let proto t = t.proto
 let engine t = t.engine
@@ -143,6 +144,32 @@ let create ~proto ~scope ~mutate () =
 (* --- per-state safety properties (the crucible Oracle invariants,
    re-phrased as predicates on a single reachable state) --- *)
 
+(* committed-prefix agreement: the (epoch, applied_hi) -> digest map is
+   a function — across nodes in this state, and across every state of
+   this path (the digest of a given prefix never rewrites).  Records the
+   state's witnesses and returns the first conflict.  Unlike the other
+   properties this one is path-dependent, so {!replay} runs it on every
+   state it passes through. *)
+let record_witnesses t =
+  let conflict = ref None in
+  List.iter
+    (fun n ->
+      Svc.iter_applied t.svc n (fun epoch hi digest ->
+          if hi >= 0 && !conflict = None then
+            let key = (epoch, hi) in
+            match Hashtbl.find_opt t.witness key with
+            | None -> Hashtbl.add t.witness key digest
+            | Some d0 when not (Int64.equal d0 digest) ->
+              conflict :=
+                Some
+                  (Printf.sprintf
+                     "committed-prefix: node %d epoch %d disagrees on the \
+                      prefix up to index %d (digest %s, witnessed %s)"
+                     n epoch hi (Fnv.to_hex digest) (Fnv.to_hex d0))
+            | Some _ -> ()))
+    (Scope.universe t.scope);
+  !conflict
+
 let check_properties t =
   let nodes = Scope.universe t.scope in
   let stats = List.map (fun n -> (n, Svc.epoch_stats t.svc n)) nodes in
@@ -188,33 +215,6 @@ let check_properties t =
           es)
       stats
   in
-  (* committed-prefix agreement: the (epoch, applied_hi) -> digest map is
-     a function — across nodes in this state, and across every state of
-     this path (the digest of a given prefix never rewrites) *)
-  let committed_prefix () =
-    List.find_map
-      (fun (n, es) ->
-        List.find_map
-          (fun (s : Service.epoch_stat) ->
-            if s.Service.es_applied_hi < 0 then None
-            else
-              let key = (s.Service.es_epoch, s.Service.es_applied_hi) in
-              match Hashtbl.find_opt t.witness key with
-              | None ->
-                Hashtbl.add t.witness key s.Service.es_digest;
-                None
-              | Some d0 when not (Int64.equal d0 s.Service.es_digest) ->
-                Some
-                  (Printf.sprintf
-                     "committed-prefix: node %d epoch %d disagrees on the \
-                      prefix up to index %d (digest %s, witnessed %s)"
-                     n s.Service.es_epoch s.Service.es_applied_hi
-                     (Fnv.to_hex s.Service.es_digest)
-                     (Fnv.to_hex d0))
-              | Some _ -> None)
-          es)
-      stats
-  in
   (* exactly-once arithmetic: every command is Incr 1, so no replica's
      counter may exceed the number of distinct commands submitted *)
   let exactly_once () =
@@ -239,7 +239,7 @@ let check_properties t =
     match wedge_agreement () with
     | Some v -> Some v
     | None -> (
-      match committed_prefix () with
+      match record_witnesses t with
       | Some v -> Some v
       | None -> exactly_once ()))
 
@@ -341,44 +341,58 @@ let enabled t =
 
 let incr_cmd = Counter.encode_command (Counter.Incr 1)
 
+let step t choice =
+  match choice with
+  | Choice.Timer { seq } ->
+    if not (Engine.fire t.engine ~seq) then raise (Divergent choice);
+    t.timers_used <- t.timers_used + 1
+  | Choice.Deliver { src; dst } -> (
+    match Network.deliver_head (net t) ~src ~dst with
+    | Some _ -> ()
+    | None -> raise (Divergent choice))
+  | Choice.Drop { src; dst } -> (
+    match Network.drop_head (net t) ~src ~dst with
+    | Some _ -> t.drops_used <- t.drops_used + 1
+    | None -> raise (Divergent choice))
+  | Choice.Crash n ->
+    if List.mem n t.crashed then raise (Divergent choice);
+    Rsmr_iface.Overlay.crash t.cluster.Rsmr_iface.Cluster.control n;
+    t.crashed <- List.sort Int.compare (n :: t.crashed);
+    t.crashes_used <- t.crashes_used + 1
+  | Choice.Recover n ->
+    if not (List.mem n t.crashed) then raise (Divergent choice);
+    Rsmr_iface.Overlay.recover t.cluster.Rsmr_iface.Cluster.control n;
+    t.crashed <- List.filter (fun m -> m <> n) t.crashed
+  | Choice.Client_op { op } ->
+    if op <> t.commands_used then raise (Divergent choice);
+    t.commands_used <- t.commands_used + 1;
+    t.cluster.Rsmr_iface.Cluster.submit ~client:client_id ~seq:(op + 1)
+      ~cmd:incr_cmd
+  | Choice.Reconfig { r } ->
+    if r <> t.reconfigs_used then raise (Divergent choice);
+    t.reconfigs_used <- t.reconfigs_used + 1;
+    Rsmr_iface.Overlay.reconfigure t.cluster.Rsmr_iface.Cluster.control
+      (Scope.reconfig_members t.scope r)
+
 let apply t choice =
-  (match choice with
-   | Choice.Timer { seq } ->
-     if not (Engine.fire t.engine ~seq) then raise (Divergent choice);
-     t.timers_used <- t.timers_used + 1
-   | Choice.Deliver { src; dst } -> (
-     match Network.deliver_head (net t) ~src ~dst with
-     | Some _ -> ()
-     | None -> raise (Divergent choice))
-   | Choice.Drop { src; dst } -> (
-     match Network.drop_head (net t) ~src ~dst with
-     | Some _ -> t.drops_used <- t.drops_used + 1
-     | None -> raise (Divergent choice))
-   | Choice.Crash n ->
-     if List.mem n t.crashed then raise (Divergent choice);
-     Rsmr_iface.Overlay.crash t.cluster.Rsmr_iface.Cluster.control n;
-     t.crashed <- List.sort Int.compare (n :: t.crashed);
-     t.crashes_used <- t.crashes_used + 1
-   | Choice.Recover n ->
-     if not (List.mem n t.crashed) then raise (Divergent choice);
-     Rsmr_iface.Overlay.recover t.cluster.Rsmr_iface.Cluster.control n;
-     t.crashed <- List.filter (fun m -> m <> n) t.crashed
-   | Choice.Client_op { op } ->
-     if op <> t.commands_used then raise (Divergent choice);
-     t.commands_used <- t.commands_used + 1;
-     t.cluster.Rsmr_iface.Cluster.submit ~client:client_id ~seq:(op + 1)
-       ~cmd:incr_cmd
-   | Choice.Reconfig { r } ->
-     if r <> t.reconfigs_used then raise (Divergent choice);
-     t.reconfigs_used <- t.reconfigs_used + 1;
-     Rsmr_iface.Overlay.reconfigure t.cluster.Rsmr_iface.Cluster.control
-       (Scope.reconfig_members t.scope r));
+  step t choice;
   observe t
 
+(* Every state strictly before the last was checked when exploration
+   first reached it, on this same path: it only needs its witnesses
+   recorded.  The final state gets the full check. *)
 let replay ~proto ~scope ~mutate choices =
   let t = create ~proto ~scope ~mutate () in
-  observe t;
-  List.iter (fun c -> if t.violation = None then apply t c) choices;
+  let rec go = function
+    | [] -> observe t
+    | c :: rest ->
+      if t.violation = None then t.violation <- record_witnesses t;
+      if t.violation = None then begin
+        step t c;
+        go rest
+      end
+  in
+  go choices;
   t
 
 (* --- coverage --- *)

@@ -52,9 +52,21 @@ val apply : t -> Choice.t -> unit
     {!violation}).  @raise Divergent if the choice is not enabled. *)
 
 val replay : proto:proto -> scope:Scope.t -> mutate:bool -> Choice.t list -> t
-(** [create] + [apply] each choice in order (stopping early if a
-    violation latches) — how the explorer materialises a frontier state
-    and how counterexamples are reproduced. *)
+(** [create], then execute each choice in order, stopping early if a
+    violation latches — how the explorer materialises a frontier state
+    and how counterexamples are reproduced.
+
+    Only the final state gets the full property check.  Every earlier
+    state on the trace was checked by the {!apply} that first reached
+    it, so replay only records its committed-prefix witnesses: that is
+    the one property judged against the states before it.  For every
+    trace the explorer stores (no proper prefix violates), [replay cs]
+    has the same {!fingerprint}, {!violation} and {!witnesses} as
+    [create] followed by [apply] of each choice.  A trace that runs
+    past a single-state violation reports it only if it still holds at
+    the end; {!Explore.render_counterexample} applies step by step and
+    reports the first.
+    @raise Divergent if a choice is not enabled where the trace puts it. *)
 
 val fingerprint : t -> Fingerprint.t
 [@@rsmr.deterministic]
@@ -64,6 +76,11 @@ val fingerprint : t -> Fingerprint.t
 
 val violation : t -> string option
 (** First safety-property failure observed on this path, if any. *)
+
+val witnesses : t -> int
+(** Distinct [(epoch, applied_hi)] prefixes whose digest this path has
+    witnessed so far — the memory of the committed-prefix property,
+    which {!replay} must rebuild along the whole path. *)
 
 val scope : t -> Scope.t
 val proto : t -> proto

@@ -9,13 +9,17 @@
      dune exec test/mc_main.exe -- --scope minimal --proto both \
        --expect-states 154843,159893
 
-   Exit status: 0 if every requested exploration finished with no
-   violation (whether or not it exhausted the scope — a --max-states
-   cap prints "NOT exhausted" but is not an error); 1 if a violation
-   was found (the counterexample is printed and, with --out, written to
-   a file), or if --expect-states was given and an exhausted exploration
-   visited a different number of states; 2 on usage errors or a
-   diverging --replay trace.
+   Exit status when exploring: 0 if every requested exploration
+   finished with no violation (whether or not it exhausted the scope —
+   a --max-states cap prints "NOT exhausted" but is not an error); 1 if
+   a violation was found (the counterexample is printed and, with
+   --out, written to a file), or if --expect-states was given and an
+   exhausted exploration visited a different number of states.
+
+   Exit status with --replay: 0 if the trace applies and ends in no
+   violation; 1 if it ends in a violation; 2 if it diverges (some choice
+   is not enabled where the trace puts it — a trace recorded for a
+   different proto, scope or mutation).  Usage errors exit 2.
 
    --expect-states takes one count per explored protocol, in --proto
    order (core before stopworld for "both"), or a single count for all
@@ -134,9 +138,15 @@ let parse_args () =
   go (List.tl (Array.to_list Sys.argv))
 
 let run_replay o proto trace =
-  print_string
-    (Explore.render_counterexample ~proto ~scope:o.scope ~mutate:o.mutate
-       trace)
+  let report, ending =
+    Explore.render_counterexample ~proto ~scope:o.scope ~mutate:o.mutate
+      trace
+  in
+  print_string report;
+  match ending with
+  | Explore.Clean -> 0
+  | Explore.Violated -> 1
+  | Explore.Diverged -> 2
 
 let run_explore o ~expect proto =
   let label =
@@ -165,8 +175,10 @@ let run_explore o ~expect proto =
       ?max_states:o.max_states ?frontier_dir ~on_progress ()
   in
   Printf.printf
-    "[%s] visited=%d transitions=%d max_depth=%d exhausted=%b\n%!" label
-    stats.Explore.visited stats.Explore.transitions stats.Explore.max_depth
+    "[%s] visited=%d transitions=%d max_depth=%d depth_bound_hit=%b \
+     exhausted=%b\n%!"
+    label stats.Explore.visited stats.Explore.transitions
+    stats.Explore.max_depth stats.Explore.depth_bound_hit
     stats.Explore.exhausted;
   let cov = stats.Explore.coverage in
   Printf.printf
@@ -198,7 +210,7 @@ let run_explore o ~expect proto =
        Printf.printf "[%s] NOT exhausted (state cap hit): 0 violations so far\n%!"
          label
    | Some (prop, trace) ->
-     let report =
+     let report, _ =
        Explore.render_counterexample ~proto ~scope:o.scope ~mutate:o.mutate
          trace
      in
@@ -215,9 +227,7 @@ let run_explore o ~expect proto =
 let () =
   let o = parse_args () in
   match o.replay with
-  | Some trace ->
-    run_replay o (List.hd o.protos) trace;
-    exit 0
+  | Some trace -> exit (run_replay o (List.hd o.protos) trace)
   | None ->
     let expects =
       match o.expect_states with

@@ -4,8 +4,10 @@
    first-wedge-wins guard must produce a short replayable counterexample
    (the checker's teeth), replays must be bit-for-bit deterministic
    (fingerprint sequence identical across independent replays of the
-   same trace), and composite fingerprints must not depend on the order
-   their parts were gathered in. *)
+   same trace), replay — which checks only the final state in full —
+   must rebuild exactly the state, verdict and witness memory that
+   stepwise [apply] reaches, and composite fingerprints must not depend
+   on the order their parts were gathered in. *)
 
 module Scope = Rsmr_mc.Scope
 module Choice = Rsmr_mc.Choice
@@ -53,12 +55,14 @@ let test_exhaust proto ~states () =
 
 (* --- teeth: the mutation must yield a short counterexample --- *)
 
+let counterexample =
+  lazy
+    (Explore.run ~proto:Harness.core ~scope:Scope.minimal ~mutate:true
+       ~strategy:Explore.Bfs ())
+      .Explore.violation
+
 let find_counterexample () =
-  let stats =
-    Explore.run ~proto:Harness.core ~scope:Scope.minimal ~mutate:true
-      ~strategy:Explore.Bfs ()
-  in
-  match stats.Explore.violation with
+  match Lazy.force counterexample with
   | None -> Alcotest.fail "mutated exploration found no violation"
   | Some (prop, trace) -> (prop, trace)
 
@@ -110,6 +114,79 @@ let test_replay_determinism () =
         Alcotest.failf "fingerprint diverged at step %d: %s vs %s" i
           (Fingerprint.to_hex x) (Fingerprint.to_hex y))
     (List.combine a b)
+
+(* --- replay of a prefix = stepwise apply --- *)
+
+(* What a harness state shows the explorer: its identity, its verdict,
+   and the committed-prefix witnesses later states are judged against. *)
+let view h =
+  (Fingerprint.to_hex (Harness.fingerprint h), Harness.violation h,
+   Harness.witnesses h)
+
+let view_t = Alcotest.(triple string (option string) int)
+
+(* A seeded random walk of at most [len] choices, stopping early where
+   nothing is enabled (a violation latched or the budgets ran out). *)
+let random_walk ~scope ~mutate ~seed ~len =
+  let rng = Random.State.make [| seed |] in
+  let h = Harness.create ~proto:Harness.core ~scope ~mutate () in
+  let rec go k acc =
+    match Harness.enabled h with
+    | cs when k < len && cs <> [] ->
+      let c = List.nth cs (Random.State.int rng (List.length cs)) in
+      Harness.apply h c;
+      go (k + 1) (c :: acc)
+    | _ -> List.rev acc
+  in
+  go 0 []
+
+(* Replay checks only the final state in full and merely records the
+   witnesses of every state before it.  At every prefix length, that
+   must reach what [create] + stepwise [apply] reaches — and so must
+   one more [apply] on the replayed harness, which is how the explorer
+   extends a frontier state. *)
+let check_replay_matches_apply ~scope ~mutate walk =
+  let h = Harness.create ~proto:Harness.core ~scope ~mutate () in
+  let initial = view h in
+  let film =
+    Array.of_list
+      (initial
+      :: List.map
+           (fun c ->
+             Harness.apply h c;
+             view h)
+           walk)
+  in
+  List.iteri
+    (fun k c ->
+      let prefix = List.filteri (fun i _ -> i < k) walk in
+      let r = Harness.replay ~proto:Harness.core ~scope ~mutate prefix in
+      Alcotest.check view_t (Printf.sprintf "replay of %d choice(s)" k)
+        film.(k) (view r);
+      Harness.apply r c;
+      Alcotest.check view_t
+        (Printf.sprintf "replay of %d choice(s), then apply" k)
+        film.(k + 1) (view r))
+    walk;
+  let r = Harness.replay ~proto:Harness.core ~scope ~mutate walk in
+  Alcotest.check view_t "replay of the whole walk"
+    film.(List.length walk) (view r)
+
+let test_replay_matches_apply () =
+  let batch2 =
+    match Scope.parse "minimal,batch=2" with Ok s -> s | Error e -> failwith e
+  in
+  List.iter
+    (fun (scope, mutate) ->
+      for seed = 1 to 6 do
+        check_replay_matches_apply ~scope ~mutate
+          (random_walk ~scope ~mutate ~seed ~len:40)
+      done)
+    [ (Scope.minimal, false); (Scope.minimal, true); (batch2, false);
+      (batch2, true) ];
+  (* a walk that ends in a violation: the mutation's counterexample *)
+  let _, trace = find_counterexample () in
+  check_replay_matches_apply ~scope:Scope.minimal ~mutate:true trace
 
 (* --- fingerprints are insertion-order independent --- *)
 
@@ -169,6 +246,8 @@ let () =
             test_mutation_counterexample;
           Alcotest.test_case "replay is bit-for-bit deterministic" `Slow
             test_replay_determinism;
+          Alcotest.test_case "replay of a prefix = stepwise apply" `Slow
+            test_replay_matches_apply;
         ] );
       ( "fingerprint",
         [
