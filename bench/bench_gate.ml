@@ -2,33 +2,19 @@
 
      dune exec bench/bench_gate.exe -- BASELINE.json CANDIDATE.json
 
-   Compares the deterministic wire-cost fields of two rsmr-bench/1
-   documents (BENCH_*.json) and exits non-zero if the candidate regresses
-   more than [tolerance] over the committed baseline.  Only the
-   simulator-exact fields are gated — messages_per_command and
-   bytes_per_command come from virtual-time network counters, so they are
-   bit-stable across hosts; the bechamel timings are NOT gated (CI
-   runners are too noisy for wall-clock thresholds).
+   Compares the [wire_cost] objects of two BENCH_*.json documents
+   (bench/main.ml) and exits 1 if any field drifts more than [tolerance]
+   from the committed baseline in either direction.  Every field of the
+   baseline's object is gated: the probe is simulator-exact, so any move
+   is a behaviour change, and an intended one commits a new baseline in
+   the same change.  A field present on one side only, a non-numeric
+   value or an empty object fails too.
 
-   The parser is a deliberate micro-scanner for the flat one-line-per-
-   section JSON that bench/main.ml emits — no JSON dependency, and a
-   malformed or field-free document fails loudly rather than passing. *)
+   The parser is a deliberate micro-scanner for the flat one-line
+   [{"k": v, ...}] object bench/main.ml emits — no JSON dependency, and a
+   malformed document fails loudly rather than passing. *)
 
 let tolerance = 0.15
-
-let fields =
-  [
-    "messages_per_command";
-    "bytes_per_command";
-    "shard2_messages_per_command";
-    "shard2_bytes_per_command";
-    "composed_wedged_window_ms";
-    "composed_transfer_bytes";
-    "matchmaker_wedged_window_ms";
-    "matchmaker_transfer_bytes";
-    "stopworld_wedged_window_ms";
-    "stopworld_transfer_bytes";
-  ]
 
 let read_file path =
   let ic = try open_in path with Sys_error e -> failwith e in
@@ -37,33 +23,34 @@ let read_file path =
   close_in ic;
   s
 
-(* Find ["<field>": <number>] in [doc]; numbers are %.6g-printed by the
-   writer, so scan the usual float alphabet. *)
-let extract doc field =
-  let needle = "\"" ^ field ^ "\": " in
+(* The [(field, value)] pairs of [doc]'s wire_cost object, in document
+   order; a value that is not a finite number ([null] for NaN) is
+   [None]. *)
+let wire_cost doc =
+  let needle = "\"wire_cost\": {" in
   let nl = String.length needle in
-  let rec search from =
-    match String.index_from_opt doc from '"' with
-    | None -> None
-    | Some i ->
-      if i + nl <= String.length doc && String.sub doc i nl = needle then begin
-        let start = i + nl in
-        let j = ref start in
-        let len = String.length doc in
-        while
-          !j < len
-          && (match doc.[!j] with
-              | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-              | _ -> false)
-        do
-          incr j
-        done;
-        if !j > start then float_of_string_opt (String.sub doc start (!j - start))
-        else None
-      end
-      else search (i + 1)
+  let rec find i =
+    if i + nl > String.length doc then failwith "no wire_cost object"
+    else if String.sub doc i nl = needle then i + nl
+    else find (i + 1)
   in
-  search 0
+  let start = find 0 in
+  let stop =
+    match String.index_from_opt doc start '}' with
+    | Some j -> j
+    | None -> failwith "unterminated wire_cost object"
+  in
+  String.sub doc start (stop - start)
+  |> String.split_on_char ','
+  |> List.filter (fun s -> String.trim s <> "")
+  |> List.map (fun entry ->
+      try
+        Scanf.sscanf entry " %S : %s " (fun k v ->
+            match float_of_string_opt v with
+            | Some x when Float.is_finite x -> (k, Some x)
+            | _ -> (k, None))
+      with Scanf.Scan_failure _ | End_of_file ->
+        failwith ("malformed wire_cost entry: " ^ entry))
 
 let () =
   let baseline_path, candidate_path =
@@ -73,37 +60,43 @@ let () =
       prerr_endline "usage: bench_gate BASELINE.json CANDIDATE.json";
       exit 2
   in
-  let baseline = read_file baseline_path in
-  let candidate = read_file candidate_path in
+  let baseline = wire_cost (read_file baseline_path) in
+  let candidate = wire_cost (read_file candidate_path) in
   let failed = ref false in
+  let missing field side =
+    failed := true;
+    Printf.printf "%-28s MISSING or non-numeric in %s\n" field side
+  in
+  if baseline = [] then missing "wire_cost (empty)" "baseline";
   List.iter
-    (fun field ->
-      match (extract baseline field, extract candidate field) with
-      | Some b, Some c ->
-        let ratio = if b > 0.0 then c /. b else infinity in
+    (fun (field, b) ->
+      match (b, List.assoc_opt field candidate) with
+      | Some b, Some (Some c) ->
+        let drift = if c = b then 0.0 else (c -. b) /. Float.abs b in
         let verdict =
-          if ratio > 1.0 +. tolerance then begin
+          if Float.abs drift > tolerance then begin
             failed := true;
-            "REGRESSION"
+            "DRIFT"
           end
           else "ok"
         in
-        Printf.printf "%-24s baseline=%-10.4g candidate=%-10.4g %+6.1f%%  %s\n"
-          field b c
-          ((ratio -. 1.0) *. 100.0)
-          verdict
-      | b, c ->
-        failed := true;
-        Printf.printf "%-24s MISSING (baseline %s, candidate %s)\n" field
-          (if b = None then "absent" else "present")
-          (if c = None then "absent" else "present"))
-    fields;
+        Printf.printf "%-28s baseline=%-10.4g candidate=%-10.4g %+6.1f%%  %s\n"
+          field b c (drift *. 100.0) verdict
+      | None, _ -> missing field "baseline"
+      | Some _, (None | Some None) -> missing field "candidate")
+    baseline;
+  List.iter
+    (fun (field, _) ->
+      if not (List.mem_assoc field baseline) then missing field "baseline")
+    candidate;
   if !failed then begin
+    flush stdout;
     Printf.eprintf
-      "bench gate: wire-cost regression beyond %.0f%% tolerance (or missing \
+      "bench gate: wire-cost drift beyond %.0f%% tolerance (or missing \
        field) vs %s\n"
       (tolerance *. 100.0) baseline_path;
     exit 1
   end
-  else Printf.printf "bench gate: within %.0f%% of %s\n" (tolerance *. 100.0)
-      baseline_path
+  else
+    Printf.printf "bench gate: %d fields within %.0f%% of %s\n"
+      (List.length baseline) (tolerance *. 100.0) baseline_path

@@ -1,262 +1,94 @@
-(* Benchmark entry point.
+(* Deterministic wire-cost probe.
 
-   Default mode regenerates every experiment table/figure of the
-   reproduction (DESIGN.md §3) as aligned text tables, then runs the
-   Bechamel section: one [Test.make] per experiment table (a scaled-down
-   run, so per-experiment cost is tracked like any other bench) plus
-   micro-benchmarks of the hot substrate paths.
+     dune exec bench/main.exe -- LABEL
 
-     dune exec bench/main.exe                 # full suite + bechamel
-     dune exec bench/main.exe -- --quick      # scaled-down tables
-     dune exec bench/main.exe -- f2 t2        # subset by experiment id
-     dune exec bench/main.exe -- --bechamel   # bechamel section only
-     dune exec bench/main.exe -- --tables     # tables only
-     dune exec bench/main.exe -- --json LABEL # also write BENCH_LABEL.json
+   Writes BENCH_<LABEL>.json (schema rsmr-bench/2, DESIGN.md §8) and
+   METRICS_<LABEL>.json (the single-service probe's rsmr-metrics/1
+   registry).  Every figure comes from virtual-time counters and
+   histograms, so it is exact for a seed on any host and bench_gate
+   compares it against a committed baseline.  The experiment tables are
+   `rsmr experiments`; host cost is rsbench/. *)
 
-   With --quick the bechamel section drops the per-table meso-benchmarks
-   and shrinks the measurement quota — the shape CI's bench-smoke step
-   runs.  --json LABEL writes BENCH_<LABEL>.json (schema: DESIGN.md §8)
-   capturing whatever sections ran, plus a deterministic wire-cost probe
-   (messages and bytes per committed command, from the network
-   counters). *)
-
-module Registry = Rsmr_experiments.Registry
-module Table = Rsmr_experiments.Table
 module Counters = Rsmr_sim.Counters
-
-let run_experiments ~quick ids =
-  let entries =
-    match ids with
-    | [] -> Registry.all
-    | ids ->
-      List.filter_map
-        (fun id ->
-          match Registry.find id with
-          | Some e -> Some e
-          | None ->
-            Printf.eprintf "unknown experiment id: %s\n" id;
-            None)
-        ids
-  in
-  Printf.printf
-    "Reconfigurable SMR from non-reconfigurable building blocks — evaluation \
-     suite (%s mode)\n"
-    (if quick then "quick" else "full");
-  List.map
-    (fun (e : Registry.entry) ->
-      let t0 = Unix.gettimeofday () in
-      let table = e.Registry.run ~quick () in
-      Table.print table;
-      let wall = Unix.gettimeofday () -. t0 in
-      Printf.printf "  [%s finished in %.1fs wall]\n%!" e.Registry.id wall;
-      (e.Registry.id, wall))
-    entries
-
-(* --- Bechamel --- *)
-
-(* A representative tunnelled payload for the wire micro-benchmarks: a
-   16-command Accept_multi batch inside a Wire.Block, the shape the
-   sizer sees on every leader fan-out under batching. *)
-let bench_block_msg () =
-  let kinds =
-    List.init 16 (fun i ->
-        Rsmr_smr.Log.Value (String.make 32 (Char.chr (97 + (i mod 26)))))
-  in
-  let msg =
-    Rsmr_smr.Msg.Accept_multi
-      {
-        ballot = { Rsmr_smr.Ballot.round = 7; node = 2 };
-        from_index = 42;
-        kinds;
-        commit_index = 41;
-      }
-  in
-  Rsmr_core.Wire.Block { epoch = 3; data = Rsmr_smr.Msg.encode msg }
-
-let micro_tests () =
-  let open Bechamel in
-  let codec =
-    let cmd = Rsmr_app.Kv.Put ("key00000042", String.make 64 'x') in
-    Test.make ~name:"kv-command-codec-roundtrip"
-      (Staged.stage (fun () ->
-           ignore (Rsmr_app.Kv.decode_command (Rsmr_app.Kv.encode_command cmd))))
-  in
-  let wire_block = bench_block_msg () in
-  let wire_size =
-    Test.make ~name:"wire-block-size"
-      (Staged.stage (fun () -> ignore (Rsmr_core.Wire.size wire_block)))
-  in
-  let wire_encode =
-    Test.make ~name:"wire-block-encode"
-      (Staged.stage (fun () -> ignore (Rsmr_core.Wire.encode wire_block)))
-  in
-  let histogram =
-    let h = Rsmr_sim.Histogram.create () in
-    Test.make ~name:"histogram-record"
-      (Staged.stage (fun () -> Rsmr_sim.Histogram.record h 0.00123))
-  in
-  let engine =
-    Test.make ~name:"engine-10k-timer-events"
-      (Staged.stage (fun () ->
-           let e = Rsmr_sim.Engine.create () in
-           for i = 1 to 10_000 do
-             ignore
-               (Rsmr_sim.Engine.schedule e
-                  ~delay:(float_of_int (i mod 97) /. 100.0)
-                  (fun () -> ()))
-           done;
-           Rsmr_sim.Engine.run e))
-  in
-  let paxos =
-    Test.make ~name:"core-100-commands-3-replicas"
-      (Staged.stage (fun () ->
-           let module KvCore = Rsmr_core.Service.Make (Rsmr_app.Kv) in
-           let engine = Rsmr_sim.Engine.create ~seed:3 () in
-           let svc = KvCore.create ~engine ~members:[ 0; 1; 2 ] () in
-           let cluster = KvCore.cluster svc in
-           Rsmr_workload.Driver.preload ~cluster ~client:99
-             ~commands:
-               (Rsmr_workload.Kv_gen.preload_commands ~n_keys:100 ~value_size:32)
-             ~deadline:30.0 ()))
-  in
-  [ codec; wire_size; wire_encode; histogram; engine; paxos ]
-
-let experiment_table_tests () =
-  let open Bechamel in
-  (* One Test.make per experiment table, running its quick variant. *)
-  List.map
-    (fun (e : Registry.entry) ->
-      Test.make
-        ~name:("table-" ^ String.lowercase_ascii e.Registry.id)
-        (Staged.stage (fun () -> ignore (e.Registry.run ~quick:true ()))))
-    Registry.all
-
-let run_bechamel ~quick () =
-  let open Bechamel in
-  print_endline "\n== Bechamel micro/meso benchmarks ==";
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    if quick then Benchmark.cfg ~limit:20 ~quota:(Time.second 0.25) ()
-    else Benchmark.cfg ~limit:40 ~quota:(Time.second 1.0) ()
-  in
-  let tests =
-    if quick then micro_tests () else micro_tests () @ experiment_table_tests ()
-  in
-  let grouped = Test.make_grouped ~name:"rsmr" tests in
-  let raw = Benchmark.all cfg [ instance ] grouped in
-  let results = Analyze.all ols instance raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols_result acc ->
-        let ns =
-          match Analyze.OLS.estimates ols_result with
-          | Some (est :: _) -> est
-          | Some [] | None -> Float.nan
-        in
-        (name, ns) :: acc)
-      results []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (name, ns) ->
-      if Float.is_nan ns then Printf.printf "%-45s %15s\n" name "-"
-      else if ns > 1e9 then Printf.printf "%-45s %12.2f s/run\n" name (ns /. 1e9)
-      else if ns > 1e6 then Printf.printf "%-45s %12.2f ms/run\n" name (ns /. 1e6)
-      else if ns > 1e3 then Printf.printf "%-45s %12.2f us/run\n" name (ns /. 1e3)
-      else Printf.printf "%-45s %12.0f ns/run\n" name ns)
-    rows;
-  rows
-
-(* --- wire-cost probe --- *)
+module Registry = Rsmr_obs.Registry
 
 (* The simulator passes messages by value, so network counters give exact,
-   host-independent wire accounting.  Pump a fixed workload through a
-   3-replica cluster and report messages/bytes per committed command.
+   host-independent wire accounting.  [marginal_cost] measures the
+   steady-state marginal cost of [n_keys] preload commands: a short
+   warm-up preload by [client] first elects a leader and settles the
+   clients (otherwise the pre-election redirect churn — a fixed startup
+   cost — dominates the per-command figure), then the measured run by
+   [client + 1] reports the [net] counter delta across exactly [n_keys]
+   commands.  [during] wraps the measured run, so a probe can observe
+   that run alone; its result is returned beside
+   [(messages_sent, bytes_sent)]. *)
+let marginal_cost ~cluster ~obs ~client ~n_keys ~during =
+  let preload ~client ~n_keys ~deadline =
+    Rsmr_workload.Driver.preload ~cluster ~client
+      ~commands:(Rsmr_workload.Kv_gen.preload_commands ~n_keys ~value_size:32)
+      ~deadline ()
+  in
+  preload ~client ~n_keys:50 ~deadline:60.0;
+  let net = Registry.counters obs "net" in
+  let sent0 = Counters.get net "sent" in
+  let bytes0 = Counters.get net "bytes_sent" in
+  let observed =
+    during (fun () -> preload ~client:(client + 1) ~n_keys ~deadline:120.0)
+  in
+  ( (Counters.get net "sent" - sent0, Counters.get net "bytes_sent" - bytes0),
+    observed )
 
-   The probe measures the steady-state marginal cost: a short warm-up
-   preload first elects a leader and settles the clients (otherwise the
-   pre-election redirect churn — a fixed startup cost — dominates the
-   per-command figure), then the measured run reports the counter delta
-   across exactly [n] commands. *)
+(* One 3-replica composed service.  Span collection rides the measured
+   run only: every command's submit -> applied -> replied path lands in
+   the metrics document. *)
 let wire_cost () =
   let module KvCore = Rsmr_core.Service.Make (Rsmr_app.Kv) in
-  let module Registry = Rsmr_obs.Registry in
   let module Span = Rsmr_obs.Span in
   let engine = Rsmr_sim.Engine.create ~seed:3 () in
   let svc = KvCore.create ~engine ~members:[ 0; 1; 2 ] () in
   let cluster = KvCore.cluster svc in
   let obs = cluster.Rsmr_iface.Cluster.obs in
-  let warmup =
-    Rsmr_workload.Kv_gen.preload_commands ~n_keys:50 ~value_size:32
+  let n = 500 in
+  let (sent, bytes), spans =
+    marginal_cost ~cluster ~obs ~client:98 ~n_keys:n ~during:(fun run ->
+        let coll = Span.collect (Registry.bus obs) in
+        run ();
+        Span.finalize coll)
   in
-  Rsmr_workload.Driver.preload ~cluster ~client:98 ~commands:warmup
-    ~deadline:60.0 ();
-  let net = Registry.counters obs "net" in
-  let sent0 = Counters.get net "sent" in
-  let bytes0 = Counters.get net "bytes_sent" in
-  (* Span collection rides the measured run only: every command's
-     submit -> applied -> replied path lands in the metrics document. *)
-  let coll = Span.collect (Registry.bus obs) in
-  let commands =
-    Rsmr_workload.Kv_gen.preload_commands ~n_keys:500 ~value_size:32
-  in
-  let n = List.length commands in
-  Rsmr_workload.Driver.preload ~cluster ~client:99 ~commands ~deadline:120.0 ();
-  let spans = Span.finalize coll in
   Span.record obs spans;
-  let summary = Span.summarize spans in
-  let sent = Counters.get net "sent" - sent0 in
-  let bytes = Counters.get net "bytes_sent" - bytes0 in
   let fn = float_of_int n in
   ( [
-      ("commands", float_of_int n);
+      ("commands", fn);
       ("messages_sent", float_of_int sent);
       ("bytes_sent", float_of_int bytes);
       ("messages_per_command", float_of_int sent /. fn);
       ("bytes_per_command", float_of_int bytes /. fn);
-      ("span_resolved_fraction", Span.resolved_fraction summary);
+      ("span_resolved_fraction", Span.resolved_fraction (Span.summarize spans));
     ],
     obs )
 
 (* Same probe at platform scale: two composed shards plus the replicated
    directory over one pool, all overlays accounting into a shared
    registry — so the per-command figures price the whole platform,
-   including the directory's (amortised) publish traffic.  Gated in CI as
-   shard2_messages_per_command / shard2_bytes_per_command. *)
+   including the directory's (amortised) publish traffic. *)
 let shard_wire_cost () =
   let module Platform = Rsmr_shard.Platform in
-  let module Keyspace = Rsmr_shard.Keyspace in
-  let module Registry = Rsmr_obs.Registry in
   let engine = Rsmr_sim.Engine.create ~seed:3 () in
-  let n_keys = 500 in
+  let n = 500 in
   let pf =
     Platform.Core.create ~engine ~pool:[ 0; 1; 2; 3; 4; 5 ]
       ~shards:[ [ 0; 1; 2 ]; [ 3; 4; 5 ] ]
-      ~keyspace:(Keyspace.ranges ~shards:2 ~n_keys)
+      ~keyspace:(Rsmr_shard.Keyspace.ranges ~shards:2 ~n_keys:n)
       ()
   in
-  let cluster = Platform.Core.cluster pf in
-  let client = Platform.Core.first_client_id pf in
-  let warmup = Rsmr_workload.Kv_gen.preload_commands ~n_keys:50 ~value_size:32 in
-  Rsmr_workload.Driver.preload ~cluster ~client ~commands:warmup ~deadline:60.0
-    ();
-  let net = Registry.counters (Platform.Core.obs pf) "net" in
-  let sent0 = Counters.get net "sent" in
-  let bytes0 = Counters.get net "bytes_sent" in
-  let commands =
-    Rsmr_workload.Kv_gen.preload_commands ~n_keys ~value_size:32
+  let (sent, bytes), () =
+    marginal_cost ~cluster:(Platform.Core.cluster pf)
+      ~obs:(Platform.Core.obs pf) ~client:(Platform.Core.first_client_id pf)
+      ~n_keys:n ~during:(fun run -> run ())
   in
-  let n = List.length commands in
-  Rsmr_workload.Driver.preload ~cluster ~client:(client + 1) ~commands
-    ~deadline:120.0 ();
-  let sent = Counters.get net "sent" - sent0 in
-  let bytes = Counters.get net "bytes_sent" - bytes0 in
   let fn = float_of_int n in
   [
-    ("shard2_commands", float_of_int n);
+    ("shard2_commands", fn);
     ("shard2_messages_per_command", float_of_int sent /. fn);
     ("shard2_bytes_per_command", float_of_int bytes /. fn);
   ]
@@ -265,15 +97,13 @@ let shard_wire_cost () =
    composition-driver reconfiguration strategy, measured in virtual time.
    The wedge->announce window comes from the service's own
    [wedged_window_s] histogram (labelled by strategy) and the transfer
-   volume from the svc counter — both simulator-exact, so they gate in CI
-   like the wire-cost fields.  This is where the matchmaker claim is
+   volume from the svc counter.  This is where the matchmaker claim is
    priced: its early prepare should shrink the window below composed's
    for the same transfer bytes.  The probe runs over the WAN latency
    model: with sub-millisecond RTTs the prepare->wedge gap (one commit
    round) is too small for the head start to be measurable. *)
 let reconfig_cost () =
   let module KvCore = Rsmr_core.Service.Make (Rsmr_app.Kv) in
-  let module Registry = Rsmr_obs.Registry in
   let module Strategy = Rsmr_iface.Reconfig_strategy in
   let probe strategy =
     let name = strategy.Strategy.name in
@@ -307,88 +137,48 @@ let reconfig_cost () =
   List.concat_map probe
     [ Strategy.composed; Strategy.matchmaker; Strategy.stopworld ]
 
-(* --- machine-readable output (--json) --- *)
-
 let json_escape b s =
   String.iter
     (fun c ->
       match c with
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
       | c when Char.code c < 32 -> Printf.bprintf b "\\u%04x" (Char.code c)
       | c -> Buffer.add_char b c)
     s
 
-let json_assoc b fields =
-  Buffer.add_char b '{';
+(* One line per section: bench_gate scans the [wire_cost] object as a
+   flat [{"k": v, ...}] run of %.6g numbers. *)
+let write_json ~label ~wire =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b "{\n  \"schema\": \"rsmr-bench/2\",\n  \"label\": \"";
+  json_escape b label;
+  Buffer.add_string b "\",\n  \"wire_cost\": {";
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_char b '"';
-      json_escape b k;
-      Buffer.add_string b "\": ";
+      Printf.bprintf b "\"%s\": " k;
       if Float.is_nan v then Buffer.add_string b "null"
       else Printf.bprintf b "%.6g" v)
-    fields;
-  Buffer.add_char b '}'
-
-let write_json ~label ~bechamel ~experiments ~wire =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"schema\": \"rsmr-bench/1\",\n  \"label\": \"";
-  json_escape b label;
-  Buffer.add_string b "\",\n  \"bechamel_ns_per_run\": ";
-  json_assoc b bechamel;
-  Buffer.add_string b ",\n  \"experiments_wall_s\": ";
-  json_assoc b experiments;
-  Buffer.add_string b ",\n  \"wire_cost\": ";
-  json_assoc b wire;
-  Buffer.add_string b "\n}\n";
+    wire;
+  Buffer.add_string b "}\n}\n";
   let path = "BENCH_" ^ label ^ ".json" in
   let oc = open_out path in
   output_string oc (Buffer.contents b);
   close_out oc;
-  Printf.printf "\nwrote %s\n%!" path
+  Printf.printf "wrote %s\n%!" path
 
 let () =
-  let argv = Array.to_list Sys.argv |> List.tl in
-  let json_label = ref None in
-  let rec strip = function
-    | [] -> []
-    | "--json" :: label :: rest
-      when String.length label > 0 && label.[0] <> '-' ->
-      json_label := Some label;
-      strip rest
-    | "--json" :: rest ->
-      json_label := Some "run";
-      strip rest
-    | a :: rest -> a :: strip rest
+  let label =
+    match Sys.argv with
+    | [| _; label |] when label <> "" && label.[0] <> '-' -> label
+    | _ ->
+      prerr_endline "usage: main.exe LABEL";
+      exit 2
   in
-  let args = strip argv in
-  let quick = List.mem "--quick" args in
-  let bechamel_only = List.mem "--bechamel" args in
-  let tables_only = List.mem "--tables" args in
-  let ids =
-    List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args
-  in
-  let experiments = ref [] in
-  let bechamel = ref [] in
-  if bechamel_only then bechamel := run_bechamel ~quick ()
-  else begin
-    experiments := run_experiments ~quick ids;
-    if not tables_only then bechamel := run_bechamel ~quick ()
-  end;
-  match !json_label with
-  | Some label ->
-    (* The schema promises experiment wall times; if only the bechamel
-       section ran (e.g. CI's `--bechamel --quick --json ci`), take them
-       from a quick pass instead of emitting an empty object. *)
-    if !experiments = [] then experiments := run_experiments ~quick:true ids;
-    let wire, obs = wire_cost () in
-    let wire = wire @ shard_wire_cost () @ reconfig_cost () in
-    write_json ~label ~bechamel:!bechamel ~experiments:!experiments ~wire;
-    Rsmr_obs.Registry.set_meta obs "label" label;
-    let mpath = "METRICS_" ^ label ^ ".json" in
-    Rsmr_obs.Registry.save obs ~path:mpath;
-    Printf.printf "wrote %s\n%!" mpath
-  | None -> ()
+  let wire, obs = wire_cost () in
+  write_json ~label ~wire:(wire @ shard_wire_cost () @ reconfig_cost ());
+  Registry.set_meta obs "label" label;
+  let mpath = "METRICS_" ^ label ^ ".json" in
+  Registry.save obs ~path:mpath;
+  Printf.printf "wrote %s\n%!" mpath
