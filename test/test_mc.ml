@@ -188,6 +188,46 @@ let test_replay_matches_apply () =
   let _, trace = find_counterexample () in
   check_replay_matches_apply ~scope:Scope.minimal ~mutate:true trace
 
+(* --- golden fingerprint film --- *)
+
+(* Recorded by record_film.exe before fingerprint parts were written in
+   place; every state along the film's walks must still fingerprint to
+   the same 64 bits. *)
+let read_film () =
+  (* dune runtest runs in the stanza's build dir, dune exec at the root *)
+  let path =
+    List.find Sys.file_exists
+      [ "data/fingerprint_film.expected"; "test/data/fingerprint_film.expected" ]
+  in
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with
+    | line when line = "" || line.[0] = '#' -> go acc
+    | line -> (
+      match String.index_opt line ' ' with
+      | Some i ->
+        go
+          ((String.sub line 0 i,
+            String.sub line (i + 1) (String.length line - i - 1))
+           :: acc)
+      | None -> Alcotest.failf "malformed film line %S" line)
+    | exception End_of_file ->
+      close_in ic;
+      List.rev acc
+  in
+  go []
+
+let test_fingerprint_film () =
+  let expected = read_film () in
+  let actual = Film.all_lines () in
+  Alcotest.(check int) "film length" (List.length expected)
+    (List.length actual);
+  List.iter2
+    (fun (k_exp, d_exp) (k_act, d_act) ->
+      Alcotest.(check string) "film key order" k_exp k_act;
+      Alcotest.(check string) ("fingerprint of " ^ k_exp) d_exp d_act)
+    expected actual
+
 (* --- fingerprints are insertion-order independent --- *)
 
 let kv_gen =
@@ -251,6 +291,8 @@ let () =
         ] );
       ( "fingerprint",
         [
+          Alcotest.test_case "film matches the recording" `Slow
+            test_fingerprint_film;
           QCheck_alcotest.to_alcotest prop_of_kv_order_independent;
           QCheck_alcotest.to_alcotest prop_of_kv_framed;
         ] );
