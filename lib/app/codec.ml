@@ -26,35 +26,23 @@ module Writer = struct
 
   (* Seven bits a byte over the int's 63-bit pattern, so the writer is
      total and the exact inverse of [Reader.varint]: a negative int takes
-     nine bytes, the ninth carrying the sign bit. *)
+     nine bytes, the ninth carrying the sign bit.  A loop over a local ref
+     rather than a recursive closure, so no write allocates. *)
   let varint t v =
-    let rec go v =
-      if v land lnot 0x7F = 0 then u8 t v
-      else begin
-        u8 t (0x80 lor (v land 0x7F));
-        go (v lsr 7)
-      end
-    in
-    go v
+    let v = ref v in
+    while !v land lnot 0x7F <> 0 do
+      u8 t (0x80 lor (!v land 0x7F));
+      v := !v lsr 7
+    done;
+    u8 t !v
 
-  (* Zigzag over Int64 so the full native-int range roundtrips, including
-     min_int, where the shift-based trick overflows. *)
-  let zigzag t v =
-    let z =
-      Int64.logxor
-        (Int64.shift_left (Int64.of_int v) 1)
-        (Int64.shift_right (Int64.of_int v) 63)
-    in
-    let rec go z =
-      let low = Int64.to_int (Int64.logand z 0x7FL) in
-      let rest = Int64.shift_right_logical z 7 in
-      if Int64.equal rest 0L then u8 t low
-      else begin
-        u8 t (0x80 lor low);
-        go rest
-      end
-    in
-    go z
+  (* Zigzag maps the full native-int range, min_int included, onto a
+     non-negative 63-bit pattern: the sign lands in bit 0 and the
+     magnitude bits are flipped for negatives, so [(v lsl 1) lxor
+     (v asr 62)] is the 64-bit [(v << 1) ^ (v >> 63)] with its always-zero
+     top bit dropped. *)
+  let zigzag t v = varint t ((v lsl 1) lxor (v asr 62))
+
   let bool t b = u8 t (if b then 1 else 0)
 
   let float t f =
@@ -76,28 +64,38 @@ module Writer = struct
       bool t true;
       f t v
 
+  (* A loop rather than [List.iter (f t)], whose partial application
+     would allocate a closure per list written. *)
+  let rec list_items t f = function
+    | [] -> ()
+    | x :: tl ->
+      f t x;
+      list_items t f tl
+
   let list t f l =
     varint t (List.length l);
-    List.iter (f t) l
+    list_items t f l
 
-  (* Length-prefixed sub-message, written straight into the parent sink.
-     The prefix needs the body length up front, so the body is measured
-     with a counting pass first; against a buffer sink the body then runs
-     a second time for real, against a counting sink the measurement is
-     the whole job.  Either way no intermediate string is built, unlike
-     the old [string w (Sub.encode v)] idiom which serialized the
-     sub-message into a fresh buffer and copied it. *)
+  (* Length-prefixed sub-message, written straight into the parent sink
+     with no intermediate string.  Against a buffer sink the prefix needs
+     the body length up front, so the body is measured with a counting
+     pass and then written for real.  A counting sink only needs the
+     total, so the body is counted once in place and its prefix after
+     it. *)
   let nested t f v =
-    let c = { sink = Count; written = 0 } in
-    f c v;
-    varint t c.written;
     match t.sink with
     | Buf _ ->
+      let c = { sink = Count; written = 0 } in
+      f c v;
+      varint t c.written;
       let before = t.written in
       f t v;
       if t.written - before <> c.written then
         invalid_arg "Codec.Writer.nested: non-deterministic sub-writer"
-    | Count -> t.written <- t.written + c.written
+    | Count ->
+      let before = t.written in
+      f t v;
+      varint t (t.written - before)
 
   let contents t =
     match t.sink with
@@ -120,29 +118,24 @@ module Reader = struct
     t.pos <- t.pos + 1;
     v
 
+  (* At most nine bytes: the ninth's seven bits complete the 63-bit
+     pattern, and a tenth is malformed. *)
   let varint t =
-    let rec go shift acc =
-      if shift > 62 then raise Truncated;
+    let acc = ref 0 and shift = ref 0 and more = ref true in
+    while !more do
+      if !shift > 62 then raise Truncated;
       let b = u8 t in
-      let acc = acc lor ((b land 0x7F) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    go 0 0
+      acc := !acc lor ((b land 0x7F) lsl !shift);
+      shift := !shift + 7;
+      more := b land 0x80 <> 0
+    done;
+    !acc
 
+  (* Inverse of [Writer.zigzag]: bit 0 is the sign, the rest the
+     magnitude, flipped back for negatives. *)
   let zigzag t =
-    let rec go shift acc =
-      if shift > 70 then raise Truncated;
-      let b = u8 t in
-      let acc =
-        Int64.logor acc (Int64.shift_left (Int64.of_int (b land 0x7F)) shift)
-      in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    let z = go 0 0L in
-    Int64.to_int
-      (Int64.logxor
-         (Int64.shift_right_logical z 1)
-         (Int64.neg (Int64.logand z 1L)))
+    let z = varint t in
+    (z lsr 1) lxor (- (z land 1))
 
   let bool t = u8 t <> 0
 
@@ -172,9 +165,20 @@ module Reader = struct
 
   let option t f = if bool t then Some (f t) else None
 
+  (* Elements are read in wire order; tail-modulo-cons, like
+     [List.init], so a long list does not grow the stack. *)
+  let[@tail_mod_cons] rec list_items t f n =
+    if n = 0 then []
+    else
+      let x = f t in
+      x :: list_items t f (n - 1)
+
+  (* The count comes off the wire, so a negative one is malformed input,
+     not a programming error. *)
   let list t f =
     let n = varint t in
-    List.init n (fun _ -> f t)
+    if n < 0 then raise Truncated;
+    list_items t f n
 
   let at_end t = t.pos >= t.limit
 end

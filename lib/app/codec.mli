@@ -23,7 +23,8 @@ module Writer : sig
 
   val counter : unit -> t
   (** A counting sink: accepts the same write calls but only accumulates
-      {!written}, allocating nothing and copying no payload bytes. *)
+      {!written}.  Writes into it allocate nothing and copy no payload
+      bytes; the sink itself is one small record. *)
 
   val written : t -> int
   (** Bytes written (or counted) so far.  Valid for both sinks. *)
@@ -62,8 +63,13 @@ module Reader : sig
 
   val of_string : string -> t
   val u8 : t -> int
+
   val varint : t -> int
+  (** At most nine bytes; a longer encoding raises {!Truncated}. *)
+
   val zigzag : t -> int
+  (** A zigzag over {!varint}, with the same nine-byte limit. *)
+
   val bool : t -> bool
   val float : t -> float
   val string : t -> string
@@ -74,6 +80,10 @@ module Reader : sig
       string (no [String.sub] copy), advancing the parent past it. *)
 
   val option : t -> (t -> 'a) -> 'a option
+
   val list : t -> (t -> 'a) -> 'a list
+  (** Reads a count, then that many elements in order.  A negative count
+      is malformed input and raises {!Truncated}. *)
+
   val at_end : t -> bool
 end

@@ -236,9 +236,8 @@ let believed_leader t = t.leader
    (sorted by sequence number) with its payload and retry counters, and
    the round-robin / watermark cursors.  Timer due-times are excluded;
    timer presence is included. *)
-let fingerprint t =
+let fingerprint w t =
   let module W = Rsmr_app.Codec.Writer in
-  let w = W.create ~size_hint:128 () in
   let node w n = W.varint w (n : Node_id.t) in
   W.list w node t.members;
   W.option w node t.leader;
@@ -259,6 +258,5 @@ let fingerprint t =
   W.varint w t.max_seq;
   W.option w node t.last_target;
   W.bool w t.lookup_inflight;
-  Batcher.fingerprint w t.batch ~order:`Oldest_first W.varint;
-  W.contents w
+  Batcher.fingerprint w t.batch ~order:`Oldest_first W.varint
 [@@rsmr.codec.oneway]

@@ -64,9 +64,9 @@ val counters : t -> Rsmr_sim.Counters.t
 val believed_members : t -> Rsmr_net.Node_id.t list
 val believed_leader : t -> Rsmr_net.Node_id.t option
 
-val fingerprint : t -> string
+val fingerprint : Rsmr_app.Codec.Writer.t -> t -> unit
 [@@rsmr.deterministic]
-(** Canonical encoding of the endpoint's complete retry state (believed
-    configuration, outstanding requests in sorted order, cursors) for
-    model-checker visited-state dedup.  Deterministic; excludes timer
+(** Write the canonical encoding of the endpoint's complete retry state
+    (believed configuration, outstanding requests in sorted order,
+    cursors) for model-checker visited-state dedup.  Deterministic; excludes timer
     due-times but includes timer presence. *)

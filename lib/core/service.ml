@@ -1127,6 +1127,17 @@ struct
   let canonical_state t =
     let module W = Rsmr_app.Codec.Writer in
     let w = W.create ~size_hint:4096 () in
+    (* Each part below is written in place with the bytes [W.string]
+       would write for it as a string: block and endpoint fingerprints
+       are length-prefixed sub-messages, and the applied digest is its
+       16-digit [Fnv.to_hex] form. *)
+    let hex_digest d =
+      W.varint w 16;
+      for i = 15 downto 0 do
+        let nibble = Int64.to_int (Int64.shift_right_logical d (4 * i)) in
+        W.u8 w (Char.code "0123456789abcdef".[nibble land 0xF])
+      done
+    in
     let node w n = W.varint w (n : Node_id.t) in
     let encode_instance inst =
       W.varint w inst.epoch;
@@ -1135,7 +1146,7 @@ struct
       W.bool w inst.activated;
       W.option w (fun w v -> W.varint w v) inst.wedged_at;
       W.zigzag w inst.applied_hi;
-      W.string w (Fnv.to_hex inst.applied_digest);
+      hex_digest inst.applied_digest;
       W.list w node inst.next_members;
       W.option w W.string inst.final_snapshot;
       W.list w
@@ -1160,7 +1171,7 @@ struct
       W.bool w (Engine.slot_pending inst.prepare_timer);
       W.string w (inst_app_bytes inst);
       W.string w (Session.encode inst.sessions);
-      W.option w W.string (Option.map Replica.fingerprint inst.replica)
+      W.option w (fun w r -> W.nested w Replica.fingerprint r) inst.replica
     in
     Stable.iter_sorted ~compare:Node_id.compare
       (fun id host ->
@@ -1183,7 +1194,7 @@ struct
     Stable.iter_sorted ~compare:Node_id.compare
       (fun id record ->
         node w id;
-        W.string w (Endpoint.fingerprint record.endpoint);
+        W.nested w Endpoint.fingerprint record.endpoint;
         W.bool w (Option.is_some record.dir_k))
       t.clients;
     List.iter

@@ -46,14 +46,26 @@ type t = {
   mutable crashed : int list; (* sorted *)
   (* oracle accumulators *)
   replies : (int, string) Hashtbl.t; (* client seq -> response bytes *)
-  witness : (int * int, int64) Hashtbl.t;
-      (* (epoch, applied_hi) -> applied digest, first seen on this path;
-         committed-prefix agreement says it never changes *)
+  universe : int list; (* [Scope.universe scope], computed once *)
+  witness : witness;
+  visit : int -> int -> int64 -> unit;
+      (* [witness]'s visitor, passed to [Svc.iter_applied] for every node
+         of every replayed state, so it is built once per harness *)
   mutable violation : string option;
 }
 
+(* The committed-prefix witness table: [witness_key epoch applied_hi] ->
+   applied digest, first seen on this path; committed-prefix agreement
+   says it never changes.  [w_node] is the node the visitor is walking,
+   [w_conflict] the first disagreement it found. *)
+and witness = {
+  table : (int, int64) Hashtbl.t;
+  mutable w_node : int;
+  mutable w_conflict : string option;
+}
+
 let violation t = t.violation
-let witnesses t = Hashtbl.length t.witness
+let witnesses t = Hashtbl.length t.witness.table
 let scope t = t.scope
 let proto t = t.proto
 let engine t = t.engine
@@ -99,16 +111,43 @@ let mc_params ~scope =
     { base with Rsmr_smr.Params.batch_max = scope.Scope.batch }
   else { base with Rsmr_smr.Params.batch_delay = 0.0 }
 
+(* An int key instead of an [(epoch, hi)] tuple: Scope's epochs and
+   applied indices are tiny, far inside 31 bits each. *)
+let witness_key epoch hi =
+  if epoch lsr 31 <> 0 || hi lsr 31 <> 0 then
+    invalid_arg "Harness: witness epoch or index out of range";
+  (epoch lsl 31) lor hi
+
+let witness_visitor w epoch hi digest =
+  if hi >= 0 && Option.is_none w.w_conflict then begin
+    let key = witness_key epoch hi in
+    if not (Hashtbl.mem w.table key) then Hashtbl.add w.table key digest
+    else begin
+      let d0 = Hashtbl.find w.table key in
+      if not (Int64.equal d0 digest) then
+        w.w_conflict <-
+          Some
+            (Printf.sprintf
+               "committed-prefix: node %d epoch %d disagrees on the prefix \
+                up to index %d (digest %s, witnessed %s)"
+               w.w_node epoch hi (Fnv.to_hex digest) (Fnv.to_hex d0))
+    end
+  end
+
 let create ~proto ~scope ~mutate () =
   let engine = Engine.create ~seed:7 () in
+  let universe = Scope.universe scope in
   let svc =
     Svc.create ~engine ~smr_params:(mc_params ~scope)
       ~options:(options ~proto ~scope ~mutate)
-      ~universe:(Scope.universe scope) ~net_mode:`Enumerate
+      ~universe ~net_mode:`Enumerate
       ~members:(Scope.initial_members scope) ()
   in
   let cluster = Svc.cluster svc in
   cluster.Rsmr_iface.Cluster.add_client client_id;
+  let witness =
+    { table = Hashtbl.create 32; w_node = 0; w_conflict = None }
+  in
   let t =
     {
       scope;
@@ -123,7 +162,9 @@ let create ~proto ~scope ~mutate () =
       timers_used = 0;
       crashed = [];
       replies = Hashtbl.create 8;
-      witness = Hashtbl.create 32;
+      universe;
+      witness;
+      visit = witness_visitor witness;
       violation = None;
     }
   in
@@ -144,6 +185,13 @@ let create ~proto ~scope ~mutate () =
 (* --- per-state safety properties (the crucible Oracle invariants,
    re-phrased as predicates on a single reachable state) --- *)
 
+let rec visit_nodes t = function
+  | [] -> ()
+  | n :: rest ->
+    t.witness.w_node <- n;
+    Svc.iter_applied t.svc n t.visit;
+    visit_nodes t rest
+
 (* committed-prefix agreement: the (epoch, applied_hi) -> digest map is
    a function — across nodes in this state, and across every state of
    this path (the digest of a given prefix never rewrites).  Records the
@@ -151,27 +199,12 @@ let create ~proto ~scope ~mutate () =
    properties this one is path-dependent, so {!replay} runs it on every
    state it passes through. *)
 let record_witnesses t =
-  let conflict = ref None in
-  List.iter
-    (fun n ->
-      Svc.iter_applied t.svc n (fun epoch hi digest ->
-          if hi >= 0 && !conflict = None then
-            let key = (epoch, hi) in
-            match Hashtbl.find_opt t.witness key with
-            | None -> Hashtbl.add t.witness key digest
-            | Some d0 when not (Int64.equal d0 digest) ->
-              conflict :=
-                Some
-                  (Printf.sprintf
-                     "committed-prefix: node %d epoch %d disagrees on the \
-                      prefix up to index %d (digest %s, witnessed %s)"
-                     n epoch hi (Fnv.to_hex digest) (Fnv.to_hex d0))
-            | Some _ -> ()))
-    (Scope.universe t.scope);
-  !conflict
+  t.witness.w_conflict <- None;
+  visit_nodes t t.universe;
+  t.witness.w_conflict
 
 let check_properties t =
-  let nodes = Scope.universe t.scope in
+  let nodes = t.universe in
   let stats = List.map (fun n -> (n, Svc.epoch_stats t.svc n)) nodes in
   (* epoch-prefix: nothing past the wedge index ever takes effect *)
   let epoch_prefix =
@@ -330,7 +363,7 @@ let enabled t =
           if List.mem n t.crashed then push (Choice.Recover n)
           else if t.crashes_used < t.scope.Scope.crashes then
             push (Choice.Crash n))
-        (List.rev (Scope.universe t.scope));
+        (List.rev t.universe);
       (* workload choices, submitted strictly in script order *)
       if t.reconfigs_used < t.scope.Scope.reconfigs then
         push (Choice.Reconfig { r = t.reconfigs_used });
@@ -443,7 +476,7 @@ let coverage t =
       | Some app ->
         c := { !c with cov_max_counter = max !c.cov_max_counter (Counter.value app) }
       | None -> ())
-    (Scope.universe t.scope);
+    t.universe;
   !c
 
 (* --- fingerprinting --- *)
@@ -498,5 +531,5 @@ let summary t =
           Buffer.add_string b (Printf.sprintf " counter=%d" (Counter.value app))
         | None -> ()
       end)
-    (Scope.universe t.scope);
+    t.universe;
   Buffer.contents b

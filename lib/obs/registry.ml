@@ -12,21 +12,18 @@ let compare_label (ka, va) (kb, vb) =
 let canon labels = List.sort_uniq compare_label labels
 
 let check_token what s =
-  String.iter
-    (fun c ->
-      match c with
-      | '{' | '}' | ',' | '=' ->
-        invalid_arg
-          (Printf.sprintf "Registry: %s %S contains reserved character %C"
-             what s c)
-      | _ -> ())
-    s
+  for i = 0 to String.length s - 1 do
+    match s.[i] with
+    | ('{' | '}' | ',' | '=') as c ->
+      invalid_arg
+        (Printf.sprintf "Registry: %s %S contains reserved character %C" what
+           s c)
+    | _ -> ()
+  done
 
-(* Canonical cell key: name{k=v,...} with labels already sorted. *)
-let encode_key name labels =
-  check_token "metric name" name;
+(* The label half of a cell key, "{k=v,...}", labels already sorted. *)
+let encode_labels labels =
   let b = Buffer.create 32 in
-  Buffer.add_string b name;
   Buffer.add_char b '{';
   List.iteri
     (fun i (k, v) ->
@@ -39,6 +36,11 @@ let encode_key name labels =
     labels;
   Buffer.add_char b '}';
   Buffer.contents b
+
+(* Canonical cell key: name{k=v,...}. *)
+let encode_key name labels =
+  check_token "metric name" name;
+  name ^ encode_labels labels
 
 type metric =
   | Counter of int ref
@@ -76,46 +78,49 @@ let mismatch key m want =
     (Printf.sprintf "Registry: %s already registered as a %s, not a %s" key
        (kind_name m) want)
 
-let new_cell t key name labels m =
-  Hashtbl.add t.cells key { c_name = name; c_labels = labels; c_metric = m };
-  m
+(* Find-or-create the cell at [key]; [fresh] is closed, so passing it
+   allocates nothing. *)
+let cell t key name labels fresh =
+  match Hashtbl.find_opt t.cells key with
+  | Some c -> c.c_metric
+  | None ->
+    let m = fresh () in
+    Hashtbl.add t.cells key { c_name = name; c_labels = labels; c_metric = m };
+    m
+
+let counter_at t key name labels =
+  match cell t key name labels (fun () -> Counter (ref 0)) with
+  | Counter r -> r
+  | m -> mismatch key m "counter"
+
+let histogram_at t key name labels =
+  match cell t key name labels (fun () -> Hist (Histogram.create ())) with
+  | Hist h -> h
+  | m -> mismatch key m "histogram"
+
+let series_at t key name labels =
+  match cell t key name labels (fun () -> Series (Timeseries.create ())) with
+  | Series s -> s
+  | m -> mismatch key m "series"
 
 let counter ?(labels = []) t name =
   let labels = canon labels in
-  let key = encode_key name labels in
-  match Hashtbl.find_opt t.cells key with
-  | Some { c_metric = Counter r; _ } -> r
-  | Some { c_metric = m; _ } -> mismatch key m "counter"
-  | None -> (
-    match new_cell t key name labels (Counter (ref 0)) with
-    | Counter r -> r
-    | m -> mismatch key m "counter")
+  counter_at t (encode_key name labels) name labels
 
 let histogram ?(labels = []) t name =
   let labels = canon labels in
-  let key = encode_key name labels in
-  match Hashtbl.find_opt t.cells key with
-  | Some { c_metric = Hist h; _ } -> h
-  | Some { c_metric = m; _ } -> mismatch key m "histogram"
-  | None -> (
-    match new_cell t key name labels (Hist (Histogram.create ())) with
-    | Hist h -> h
-    | m -> mismatch key m "histogram")
+  histogram_at t (encode_key name labels) name labels
 
 let series ?(labels = []) t name =
   let labels = canon labels in
-  let key = encode_key name labels in
-  match Hashtbl.find_opt t.cells key with
-  | Some { c_metric = Series s; _ } -> s
-  | Some { c_metric = m; _ } -> mismatch key m "series"
-  | None -> (
-    match new_cell t key name labels (Series (Timeseries.create ())) with
-    | Series s -> s
-    | m -> mismatch key m "series")
+  series_at t (encode_key name labels) name labels
 
 (* --- scopes --- *)
 
-type scope = { reg : t; sc : labels }
+(* A scope encodes its label suffix once; each cell it resolves then
+   costs one concatenation, and gets the same key as the unscoped
+   lookup with the same labels. *)
+type scope = { reg : t; sc : labels; suffix : string }
 
 let scope ?node ?epoch ?(labels = []) t =
   let l = labels in
@@ -125,12 +130,18 @@ let scope ?node ?epoch ?(labels = []) t =
   let l =
     match node with Some n -> ("node", string_of_int n) :: l | None -> l
   in
-  { reg = t; sc = canon l }
+  let sc = canon l in
+  { reg = t; sc; suffix = encode_labels sc }
 
 let scope_labels s = s.sc
-let scope_counter s name = counter ~labels:s.sc s.reg name
-let scope_histogram s name = histogram ~labels:s.sc s.reg name
-let scope_series s name = series ~labels:s.sc s.reg name
+
+let scoped_key s name =
+  check_token "metric name" name;
+  name ^ s.suffix
+
+let scope_counter s name = counter_at s.reg (scoped_key s name) name s.sc
+let scope_histogram s name = histogram_at s.reg (scoped_key s name) name s.sc
+let scope_series s name = series_at s.reg (scoped_key s name) name s.sc
 
 (* --- attached sections --- *)
 

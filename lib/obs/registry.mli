@@ -75,10 +75,14 @@ type scope
 (** A registry handle with a pre-bound label set. *)
 
 val scope : ?node:int -> ?epoch:int -> ?labels:labels -> t -> scope
+(** Encodes the label set once, so a label with a reserved character
+    raises [Invalid_argument] here rather than at the first cell. *)
 
 val scope_labels : scope -> labels
 
 val scope_counter : scope -> string -> int ref
+(** The cell {!counter} [~labels:(scope_labels s)] would return, found
+    without re-sorting or re-encoding the labels. *)
 
 val scope_histogram : scope -> string -> Rsmr_sim.Histogram.t
 

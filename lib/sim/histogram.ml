@@ -7,8 +7,11 @@ let lo = 1e-7
 let nbuckets = 1200 (* lo * 1.02^1200 ~ 2.1e3 s *)
 let log_growth = log growth
 
+(* [buckets] stays empty until the first [record]: most histograms a
+   service creates never see a value, and a 1,200-bucket array goes
+   straight to the major heap. *)
 type t = {
-  buckets : int array;
+  mutable buckets : int array;
   mutable n : int;
   mutable sum : float;
   mutable minv : float;
@@ -16,7 +19,9 @@ type t = {
 }
 
 let create () =
-  { buckets = Array.make nbuckets 0; n = 0; sum = 0.0; minv = infinity; maxv = neg_infinity }
+  { buckets = [||]; n = 0; sum = 0.0; minv = infinity; maxv = neg_infinity }
+
+let bucket t i = if Array.length t.buckets = 0 then 0 else t.buckets.(i)
 
 let bucket_of v =
   if v <= lo then 0
@@ -29,6 +34,7 @@ let value_of i = lo *. (growth ** (float_of_int i +. 0.5))
 let record t v =
   let v = if v < 0.0 then 0.0 else v in
   let i = bucket_of v in
+  if Array.length t.buckets = 0 then t.buckets <- Array.make nbuckets 0;
   t.buckets.(i) <- t.buckets.(i) + 1;
   t.n <- t.n + 1;
   t.sum <- t.sum +. v;
@@ -63,9 +69,8 @@ let percentile t p =
 
 let merge a b =
   let t = create () in
-  for i = 0 to nbuckets - 1 do
-    t.buckets.(i) <- a.buckets.(i) + b.buckets.(i)
-  done;
+  if a.n + b.n > 0 then
+    t.buckets <- Array.init nbuckets (fun i -> bucket a i + bucket b i);
   t.n <- a.n + b.n;
   t.sum <- a.sum +. b.sum;
   t.minv <- min a.minv b.minv;
@@ -73,7 +78,7 @@ let merge a b =
   t
 
 let clear t =
-  Array.fill t.buckets 0 nbuckets 0;
+  Array.fill t.buckets 0 (Array.length t.buckets) 0;
   t.n <- 0;
   t.sum <- 0.0;
   t.minv <- infinity;

@@ -84,12 +84,14 @@ module type S = sig
 
   val commit_index : t -> int
 
-  val fingerprint : t -> string
-  (** Canonical encoding of the replica's complete protocol state —
-      role, promises, log (values, ballots/views, commit marks),
-      delivery watermarks, queued submissions — for model-checker
-      visited-state dedup.  Two replicas with behaviourally identical
-      state must produce identical bytes, so implementations serialize
+  val fingerprint : Rsmr_app.Codec.Writer.t -> t -> unit
+  (** Write the canonical encoding of the replica's complete protocol
+      state — role, promises, log (values, ballots/views, commit marks),
+      delivery watermarks, queued submissions — into the writer, for
+      model-checker visited-state dedup.  Callers embed it with
+      {!Rsmr_app.Codec.Writer.nested}, so no intermediate string is
+      built.  Two replicas with behaviourally identical state must
+      produce identical bytes, so implementations serialize
       through the codec layer with all unordered collections emitted in
       sorted order; structural hashing ([Hashtbl.hash]) and wall-clock
       or timer due-times must not leak in.  Not a wire format: nothing

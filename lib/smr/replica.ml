@@ -720,9 +720,8 @@ let create ~engine ?(params = Params.default) ?trace ~config:cfg ~me ~send
    sink and metric counters are deliberately excluded — they are not
    protocol state — but timer *presence* is included, since "a flush is
    scheduled" and "no flush is scheduled" behave differently. *)
-let fingerprint t =
+let fingerprint w t =
   let module W = Rsmr_app.Codec.Writer in
-  let w = W.create ~size_hint:256 () in
   let node w n = W.varint w (n : Node_id.t) in
   let node_set w s = W.list w node (Node_id.Set.elements s) in
   let entry w (e : Log.entry) =
@@ -775,6 +774,5 @@ let fingerprint t =
       W.varint w slot;
       entry w e;
       W.bool w (Log.is_committed t.log slot))
-    (Log.entries_from t.log 0);
-  W.contents w
+    (Log.entries_from t.log 0)
 [@@rsmr.codec.oneway]

@@ -87,9 +87,9 @@ val me : t -> Rsmr_net.Node_id.t
 val kick_election : t -> unit
 (** Test hook: trigger an immediate election attempt. *)
 
-val fingerprint : t -> string
+val fingerprint : Rsmr_app.Codec.Writer.t -> t -> unit
 [@@rsmr.deterministic]
-(** Canonical encoding of the replica's complete protocol state — see
-    {!Block_intf.S.fingerprint}.  Unordered collections are emitted in
-    sorted order; timer due-times, RNG and metrics are excluded, timer
-    presence is included. *)
+(** Write the canonical encoding of the replica's complete protocol
+    state — see {!Block_intf.S.fingerprint}.  Unordered collections are
+    emitted in sorted order; timer due-times, RNG and metrics are
+    excluded, timer presence is included. *)

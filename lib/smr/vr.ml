@@ -763,8 +763,7 @@ let create ~engine ~params ~config ~me ~send ?broadcast ?obs ~on_decide () =
    as {!Replica.fingerprint}: no timer due-times, RNG or metrics, but
    timer presence and every behaviour-bearing field, with unordered
    collections in sorted order. *)
-let fingerprint t =
-  let w = W.create ~size_hint:256 () in
+let fingerprint w t =
   let node w n = W.varint w (n : Node_id.t) in
   let node_set w s = W.list w node (Node_id.Set.elements s) in
   W.varint w t.view;
@@ -798,6 +797,5 @@ let fingerprint t =
   W.bool w (Engine.slot_pending t.view_timer);
   W.bool w (Engine.slot_pending t.hb_timer);
   W.bool w (Engine.slot_pending t.resend_timer);
-  W.bool w t.halted;
-  W.contents w
+  W.bool w t.halted
 [@@rsmr.codec.oneway]

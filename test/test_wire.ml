@@ -513,18 +513,131 @@ let prefix_prop name gen encode decode =
       | _ -> false
       | exception Rsmr_app.Codec.Truncated -> true)
 
-let truncation_fuzz =
+(* --- corruption fuzz: a valid encoding with bytes overwritten must
+   decode to some value or raise Codec.Truncated — never
+   Invalid_argument, Failure or Not_found.  A patch is one random byte,
+   a random run, or a nine-byte varint -1 (how a negative count reaches
+   a decoder), and may run past the end of the encoding. *)
+
+let patch_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (String.make 1) char;
+        string_size (int_range 2 9);
+        return "\xff\xff\xff\xff\xff\xff\xff\xff\x7f";
+      ])
+
+let overwrite s (pos, patch) =
+  let pos = pos mod String.length s and n = String.length patch in
+  String.init
+    (max (String.length s) (pos + n))
+    (fun i -> if i >= pos && i < pos + n then patch.[i - pos] else s.[i])
+
+let corrupt_prop name gen encode decode =
+  QCheck.Test.make ~name:(name ^ " overwritten bytes decode or raise Truncated")
+    ~count:1000
+    (QCheck.make
+       QCheck.Gen.(
+         pair gen (list_size (int_range 1 3) (pair (int_bound 1_000_000) patch_gen))))
+    (fun (m, patches) ->
+      let s = encode m in
+      String.length s = 0
+      ||
+      match decode (List.fold_left overwrite s patches) with
+      | _ -> true
+      | exception Rsmr_app.Codec.Truncated -> true)
+
+(* Both fuzzes run over every codec pair. *)
+type fuzz = {
+  prop :
+    'a. string -> 'a QCheck.Gen.t -> ('a -> string) -> (string -> 'a) ->
+    QCheck.Test.t;
+}
+
+let each_codec f =
   [
-    prefix_prop "Wire" wire_gen Wire.encode Wire.decode;
-    prefix_prop "Raft_wire" raft_wire_gen Raft_wire.encode Raft_wire.decode;
-    prefix_prop "Raft_msg" raft_msg_gen Raft_msg.encode Raft_msg.decode;
-    prefix_prop "Client_msg" client_msg_gen Client_msg.encode Client_msg.decode;
-    prefix_prop "Paxos Msg" paxos_msg_gen Paxos_msg.encode Paxos_msg.decode;
-    prefix_prop "Vr Msg" vr_msg_gen Vr_msg.encode Vr_msg.decode;
-    prefix_prop "Envelope" envelope_gen Envelope.encode Envelope.decode;
-    prefix_prop "Snapshot" snapshot_gen Snapshot.encode Snapshot.decode;
-    prefix_prop "Session" session_gen Session.encode Session.decode;
+    f.prop "Wire" wire_gen Wire.encode Wire.decode;
+    f.prop "Raft_wire" raft_wire_gen Raft_wire.encode Raft_wire.decode;
+    f.prop "Raft_msg" raft_msg_gen Raft_msg.encode Raft_msg.decode;
+    f.prop "Client_msg" client_msg_gen Client_msg.encode Client_msg.decode;
+    f.prop "Paxos Msg" paxos_msg_gen Paxos_msg.encode Paxos_msg.decode;
+    f.prop "Vr Msg" vr_msg_gen Vr_msg.encode Vr_msg.decode;
+    f.prop "Envelope" envelope_gen Envelope.encode Envelope.decode;
+    f.prop "Snapshot" snapshot_gen Snapshot.encode Snapshot.decode;
+    f.prop "Session" session_gen Session.encode Session.decode;
   ]
+
+let truncation_fuzz = each_codec { prop = prefix_prop }
+let corruption_fuzz = each_codec { prop = corrupt_prop }
+
+(* --- sizing allocates nothing: a counting pass over representative
+   messages, and the varint/zigzag primitives over the whole int range,
+   leave the minor heap untouched; [size] allocates only its counter. *)
+
+module W = Rsmr_app.Codec.Writer
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_sizing_allocates_nothing () =
+  let block = Wire.Block { epoch = 3; data = String.make 300 'b' } in
+  let batch =
+    Wire.Client
+      (Client_msg.Request_batch
+         {
+           low_water = 17;
+           reqs =
+             [ (18, Client_msg.Cmd "incr");
+               (19, Client_msg.Change_membership [ 1; -2; 300 ]) ];
+         })
+  in
+  let accept_multi =
+    Paxos_msg.Accept_multi
+      {
+        ballot = { Ballot.round = 4; node = -1 };
+        from_index = 1 lsl 20;
+        kinds = [ Log.Noop; Log.Value "x"; Log.Value (String.make 130 'v') ];
+        commit_index = 1 lsl 20 - 1;
+      }
+  in
+  let ints =
+    [| 0; 1; -1; 63; 64; -64; -65; 127; 128; 1 lsl 40; -(1 lsl 40); max_int;
+       min_int |]
+  in
+  let c = W.counter () in
+  let zero name f =
+    f ();
+    Alcotest.(check (float 0.0))
+      (name ^ " allocates no minor words") 0.0
+      (minor_words (fun () ->
+           for _ = 1 to 100 do
+             f ()
+           done))
+  in
+  zero "Wire.write Block" (fun () -> Wire.write c block);
+  zero "Wire.write Client Request_batch" (fun () -> Wire.write c batch);
+  zero "Msg.write Accept_multi" (fun () -> Paxos_msg.write c accept_multi);
+  zero "Writer.varint" (fun () ->
+      for i = 0 to Array.length ints - 1 do
+        W.varint c ints.(i)
+      done);
+  zero "Writer.zigzag" (fun () ->
+      for i = 0 to Array.length ints - 1 do
+        W.zigzag c ints.(i)
+      done);
+  let counter_words =
+    minor_words (fun () -> ignore (Sys.opaque_identity (W.counter ())))
+  in
+  List.iter
+    (fun m ->
+      Alcotest.(check (float 0.0))
+        ("Wire.size " ^ Wire.tag m ^ " allocates only its counter")
+        counter_words
+        (minor_words (fun () -> ignore (Sys.opaque_identity (Wire.size m)))))
+    [ block; batch ]
 
 (* --- tag_of_encoded: first-byte classification agrees with tag --- *)
 
@@ -585,6 +698,11 @@ let () =
         ] );
       ( "truncation-fuzz",
         List.map QCheck_alcotest.to_alcotest truncation_fuzz );
+      ( "corruption-fuzz",
+        List.map QCheck_alcotest.to_alcotest corruption_fuzz );
+      ( "allocation",
+        [ Alcotest.test_case "sizing allocates nothing" `Quick
+            test_sizing_allocates_nothing ] );
       ( "tag-of-encoded",
         [
           QCheck_alcotest.to_alcotest prop_paxos_tag_of_encoded;

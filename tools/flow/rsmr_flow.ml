@@ -77,7 +77,7 @@ let nondet_exact =
 let raise_exact =
   [
     "failwith"; "raise"; "raise_notrace";
-    "List.hd"; "List.tl"; "List.nth"; "List.find"; "List.assoc";
+    "List.hd"; "List.tl"; "List.nth"; "List.find"; "List.assoc"; "List.init";
     "Option.get"; "Hashtbl.find"; "Queue.pop"; "Queue.take"; "Queue.peek";
     "Queue.top"; "Stack.pop"; "Stack.top"; "int_of_string"; "float_of_string";
     "bool_of_string"; "Char.chr"; "String.index"; "String.rindex";
